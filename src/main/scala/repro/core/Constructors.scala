@@ -130,10 +130,6 @@ object Constructors {
     true
   }
 
-  /** Reducibility check helper (paper Definition 6.1): μ̄_U(r) as a matrix. */
-  def reduce(df: DataFrame, order: Seq[String]): ColMatrix =
-    collectSplit(df, order, validateKeys = true).matrix
-
   // -------------------------------------------------------------------
   // Relation constructors (merge step): schema-level only, values are
   // whatever the caller assembled. Results are driver-local relations —
@@ -165,7 +161,10 @@ object Constructors {
     out
   }
 
-  /** γ(μ_U(r) □ base, U ∘ names): order part glued to the base result. */
+  /** γ(μ_U(r) □ base, U ∘ names): order part glued to the base result. For
+    * the (r*,c*) ops the order part is both inputs' order parts side by side,
+    * U ∘ V.
+    */
   def withOrderPart(spark: SparkSession, orderFields: Seq[StructField],
                     orderRows: Array[Array[Any]], base: ColMatrix,
                     appNames: Seq[String]): DataFrame = {
@@ -178,24 +177,10 @@ object Constructors {
     build(spark, schema, rows)
   }
 
-  /** γ(μ_U(r) □ μ_V(s) □ base, U ∘ V ∘ names): both order parts glued to the
-    * base result — the (r*,c*) constructor for add/sub/emu.
-    */
-  def withTwoOrderParts(spark: SparkSession,
-                        rFields: Seq[StructField], rRows: Array[Array[Any]],
-                        sFields: Seq[StructField], sRows: Array[Array[Any]],
-                        base: ColMatrix, appNames: Seq[String]): DataFrame = {
-    require(rRows.length == sRows.length && base.nRows == rRows.length,
-      "order parts and base result must have the same number of rows")
-    val schema = StructType(rFields ++ sFields ++
-      appNames.map(StructField(_, DoubleType, nullable = false)))
-    val rows = (0 until base.nRows).map(i => rowOf(rRows(i), sRows(i), boxedRow(base, i)))
-    build(spark, schema, rows)
-  }
-
   /** γ(ΔŪ □ base, (C) ∘ names): the schema cast of the application schema as
     * a new attribute C, glued to the base result — for ops whose row count is
-    * a column count of an input (tra, rqr, dsv, vsv, cpd, sol).
+    * a column count of an input (tra, rqr, dsv, vsv, cpd, sol). The scalar ops
+    * det and rnk use it with the op name as the only C value and column name.
     */
   def withSchemaCast(spark: SparkSession, cValues: Seq[String], base: ColMatrix,
                      appNames: Seq[String]): DataFrame = {
@@ -207,15 +192,6 @@ object Constructors {
       rowOf(Array[Any](UTF8String.fromString(cValues(i))), boxedRow(base, i))
     }
     build(spark, schema, rows)
-  }
-
-  /** γ(..., (C, op)): scalar result relation for det and rnk. */
-  def scalarRelation(spark: SparkSession, opName: String, value: Double): DataFrame = {
-    val schema = StructType(Seq(
-      StructField("C", StringType, nullable = false),
-      StructField(opName, DoubleType, nullable = false)))
-    build(spark, schema,
-      IndexedSeq(new GenericInternalRow(Array[Any](UTF8String.fromString(opName), value))))
   }
 
   // -------------------------------------------------------------------
@@ -258,8 +234,8 @@ object Constructors {
     require(ru.intersect(sv).isEmpty,
       s"order schemas must not overlap (paper §4.2): ${ru.intersect(sv)}")
     if (validateKeys) {
-      requireKey(r, ru); requireKey(s, sv)
-      require(r.count() == s.count(), "element-wise op requires equal row counts")
+      val (nr, ns) = (requireKey(r, ru), requireKey(s, sv))
+      require(nr == ns, s"element-wise op: row counts differ ($nr vs $ns)")
     }
     val rIdx = withGlobalRank(r, ru, assumeSorted).select(
       (col(IdxCol) +: (ru ++ rApp).map(c => col(c).as(s"__r_$c"))): _*)
@@ -276,10 +252,12 @@ object Constructors {
     joined.select(outCols: _*)
   }
 
-  private def requireKey(df: DataFrame, cols0: Seq[String]): Unit = {
+  /** Require `cols0` to be a key of `df`; returns the row count of `df`. */
+  private def requireKey(df: DataFrame, cols0: Seq[String]): Long = {
     val total = df.count()
     val distinct = df.select(cols0.map(col): _*).distinct().count()
     require(total == distinct,
       s"order schema $cols0 is not a key ($distinct distinct of $total rows)")
+    total
   }
 }

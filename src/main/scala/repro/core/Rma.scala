@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
+import repro.core.Constructors.SplitRelation
 import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, MatrixBackend}
 
 /** Execution configuration for relational matrix operations.
@@ -28,7 +29,6 @@ final case class RmaConfig(
 
 object RmaConfig {
   val default: RmaConfig = RmaConfig()
-  val bat: RmaConfig = RmaConfig(backend = ColumnarBackend)
 }
 
 /** The relational matrix algebra (paper Section 4, Table 2).
@@ -38,231 +38,148 @@ object RmaConfig {
   * result carries the base result of the corresponding matrix operation plus
   * contextual information (row and column origins) per the op's shape type.
   *
-  * Unary ops: `op(r, U)`; binary ops: `op(r, U, s, V)` — the SQL surface
-  * `SELECT * FROM OP(r BY U, s BY V)` is provided by [[RmaSql]].
+  * The ops are rows of the table [[OpSpec]], evaluated by [[eval]]; the named
+  * methods below forward to it. Unary ops: `op(r, U)`; binary ops:
+  * `op(r, U, s, V)` — the SQL surface `SELECT * FROM OP(r BY U, s BY V)` is
+  * provided by [[RmaSql]].
   */
 object Rma {
   import Constructors._
+  import Dim._
 
-  private def spark(df: DataFrame) = df.sparkSession
-
-  private def split(df: DataFrame, u: Seq[String], cfg: RmaConfig): SplitRelation =
-    collectSplit(df, u, cfg.validateKeys, cfg.assumeSorted)
-
-  // -----------------------------------------------------------------
-  // Shape type (r1,c1): inv, evc, chf, qqr — schema U ∘ Ū.
-  // -----------------------------------------------------------------
-
-  /** Matrix inversion of the application part (shape (r1,c1)). */
-  def inv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("inv", sp)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.inv(sp.matrix), sp.appCols)
+  /** Evaluate `op` on its arguments, each a relation with its order schema.
+    *
+    * add/sub/emu run on the distributed element-wise path when
+    * `cfg.distributedElementwise` is set. Every other call splits each
+    * argument once, checks the op's preconditions, runs its kernel on
+    * `cfg.backend`, and builds the result with the relation constructor that
+    * the op's shape type selects (paper Tables 2 and 3).
+    */
+  def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])],
+           cfg: RmaConfig = RmaConfig.default): DataFrame = {
+    op.requireArity(args.length)
+    op.combine.filter(_ => cfg.distributedElementwise) match {
+      case Some(combine) =>
+        val Seq((r, u), (s, v)) = args
+        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
+      case None =>
+        val sp = args.map { case (df, u) => collectSplit(df, u, cfg.validateKeys, cfg.assumeSorted) }
+        op.preconditions.foreach(p => require(p.holds(sp), s"${op.name}: ${p.why(sp)}"))
+        relation(args.head._1.sparkSession, op, sp, op.kernel(cfg.backend, sp.map(_.matrix)))
+    }
   }
 
-  /** Eigenvectors (symmetric application part; shape (r1,c1)). */
-  def evc(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("evc", sp)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.eig(sp.matrix)._2, sp.appCols)
+  /** The relation constructor for the op's shape type. Rows: r1 keeps the
+    * order part of r, r* those of r and s, c1 gets the schema cast of r's
+    * application schema, 1 the op name. Columns: c1/c* keep r's application
+    * schema, c2 takes s's, r1/r2 are the column cast of r/s, 1 is the op name.
+    */
+  private def relation(spark: SparkSession, op: OpSpec, sp: Seq[SplitRelation],
+                       base: ColMatrix): DataFrame = {
+    val (r, s) = (sp.head, sp.last)
+    def none(d: Dim) =
+      throw new IllegalArgumentException(s"${op.name}: shape type ${op.shape} has no constructor for $d")
+    val names = op.shape.cols match {
+      case C1 | CStar => r.appCols
+      case C2         => s.appCols
+      case R1         => r.columnCast
+      case R2         => s.columnCast
+      case One        => Seq(op.name)
+      case d          => none(d)
+    }
+    op.shape.rows match {
+      case R1    => withOrderPart(spark, r.orderFields, r.orderRows, base, names)
+      case RStar => withOrderPart(spark, r.orderFields ++ s.orderFields,
+                      r.orderRows.zip(s.orderRows).map { case (a, b) => a ++ b }, base, names)
+      case C1    => withSchemaCast(spark, r.appCols, base, names)
+      case One   => withSchemaCast(spark, Seq(op.name), base, names)
+      case d     => none(d)
+    }
   }
+
+  /** Matrix inversion (shape (r1,c1)). */
+  def inv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.inv, Seq(r -> u), cfg)
+
+  /** Eigenvectors of a symmetric application part (shape (r1,c1)). */
+  def evc(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.evc, Seq(r -> u), cfg)
+
+  /** Eigenvalues, descending, of a symmetric application part (shape (r1,1)). */
+  def evl(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.evl, Seq(r -> u), cfg)
 
   /** Cholesky factor R with A = RᵀR (shape (r1,c1)). */
-  def chf(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("chf", sp)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.chf(sp.matrix), sp.appCols)
-  }
+  def chf(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.chf, Seq(r -> u), cfg)
 
   /** Q factor of the QR decomposition (shape (r1,c1)). */
-  def qqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.qr(sp.matrix)._1, sp.appCols)
-  }
+  def qqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.qqr, Seq(r -> u), cfg)
 
-  // -----------------------------------------------------------------
-  // Shape type (r1,r1): usv — schema U ∘ ∇U.
-  // -----------------------------------------------------------------
+  /** R factor of the QR decomposition (shape (c1,c1)). */
+  def rqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.rqr, Seq(r -> u), cfg)
 
   /** Full left SVD factor (shape (r1,r1)); result columns are named by the
     * sorted key values (column cast ∇U), so |U| must be 1.
     */
-  def usv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, cfg.backend.svdFullU(sp.matrix), sp.columnCast)
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (r1,1): evl — schema U ∘ (op).
-  // -----------------------------------------------------------------
-
-  /** Eigenvalues, descending (symmetric application part; shape (r1,1)). */
-  def evl(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("evl", sp)
-    val values = ColMatrix.fromVector(cfg.backend.eig(sp.matrix)._1)
-    withOrderPart(spark(r), sp.orderFields, sp.orderRows, values, Seq("evl"))
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (c1,r1): tra — schema (C) ∘ ∇U.
-  // -----------------------------------------------------------------
-
-  /** Transpose (shape (c1,r1)): rows are the application attributes (new
-    * attribute C), columns are named by the sorted key values (∇U, |U|=1).
-    */
-  def tra(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withSchemaCast(spark(r), sp.appCols, cfg.backend.tra(sp.matrix), sp.columnCast)
-  }
-
-  // -----------------------------------------------------------------
-  // Shape type (c1,c1): rqr, dsv, vsv — schema (C) ∘ Ū.
-  // -----------------------------------------------------------------
-
-  /** R factor of the QR decomposition (shape (c1,c1)). */
-  def rqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withSchemaCast(spark(r), sp.appCols, cfg.backend.qr(sp.matrix)._2, sp.appCols)
-  }
+  def usv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.usv, Seq(r -> u), cfg)
 
   /** Diagonal matrix of singular values, descending (shape (c1,c1)). */
-  def dsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    val d = ColMatrix.diag(cfg.backend.svd(sp.matrix)._2)
-    withSchemaCast(spark(r), sp.appCols, d, sp.appCols)
-  }
+  def dsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.dsv, Seq(r -> u), cfg)
 
   /** Right singular vectors V (shape (c1,c1) — see DESIGN.md §3 on the
     * paper's Table 1 typo for vsv).
     */
-  def vsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    withSchemaCast(spark(r), sp.appCols, cfg.backend.svd(sp.matrix)._3, sp.appCols)
-  }
+  def vsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.vsv, Seq(r -> u), cfg)
 
-  // -----------------------------------------------------------------
-  // Shape type (1,1): det, rnk — schema (C, op), a single tuple.
-  // -----------------------------------------------------------------
+  /** Transpose (shape (c1,r1)): rows are the application attributes (new
+    * attribute C), columns are named by the sorted key values (∇U, |U|=1).
+    */
+  def tra(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.tra, Seq(r -> u), cfg)
 
   /** Determinant (shape (1,1)). */
-  def det(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    requireSquare("det", sp)
-    scalarRelation(spark(r), "det", cfg.backend.det(sp.matrix))
-  }
+  def det(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.det, Seq(r -> u), cfg)
 
   /** Numerical rank (shape (1,1)). */
-  def rnk(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val sp = split(r, u, cfg)
-    scalarRelation(spark(r), "rnk", cfg.backend.rnk(sp.matrix).toDouble)
-  }
-
-  // -----------------------------------------------------------------
-  // Binary operations.
-  // -----------------------------------------------------------------
+  def rnk(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    eval(OpSpec.rnk, Seq(r -> u), cfg)
 
   /** Matrix multiplication (shape (r1,c2)): schema U ∘ V̄. The application
     * part of `r` must have as many columns as `s` has rows.
     */
   def mmu(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nCols == spS.matrix.nRows,
-      s"mmu: |application schema of r| = ${spR.matrix.nCols} must equal |s| = ${spS.matrix.nRows}")
-    val base = cfg.backend.mmu(spR.matrix, spS.matrix)
-    withOrderPart(spark(r), spR.orderFields, spR.orderRows, base, spS.appCols)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.mmu, Seq(r -> u, s -> v), cfg)
 
   /** Outer product a·bᵀ (shape (r1,r2)): schema U ∘ ∇V, so |V| must be 1. */
   def opd(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nCols == spS.matrix.nCols,
-      s"opd: application schemas must have equal width (${spR.matrix.nCols} vs ${spS.matrix.nCols})")
-    val base = cfg.backend.opd(spR.matrix, spS.matrix)
-    withOrderPart(spark(r), spR.orderFields, spR.orderRows, base, spS.columnCast)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.opd, Seq(r -> u, s -> v), cfg)
 
   /** Cross product aᵀ·b (shape (c1,c2)): schema (C) ∘ V̄. */
   def cpd(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nRows == spS.matrix.nRows,
-      s"cpd: row counts differ (${spR.matrix.nRows} vs ${spS.matrix.nRows})")
-    val base = cfg.backend.cpd(spR.matrix, spS.matrix)
-    withSchemaCast(spark(r), spR.appCols, base, spS.appCols)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.cpd, Seq(r -> u, s -> v), cfg)
 
   /** Solve a·x = b, least squares when rectangular (shape (c1,c2)):
     * schema (C) ∘ V̄.
     */
   def sol(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = {
-    val spR = split(r, u, cfg)
-    val spS = split(s, v, cfg)
-    require(spR.matrix.nRows == spS.matrix.nRows,
-      s"sol: row counts differ (${spR.matrix.nRows} vs ${spS.matrix.nRows})")
-    val base = cfg.backend.sol(spR.matrix, spS.matrix)
-    withSchemaCast(spark(r), spR.appCols, base, spS.appCols)
-  }
+          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.sol, Seq(r -> u, s -> v), cfg)
 
   /** Element-wise addition (shape (r*,c*)): schema U ∘ V ∘ Ū. */
   def add(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame =
-    elementwise("add", r, u, s, v, cfg)
+          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.add, Seq(r -> u, s -> v), cfg)
 
   /** Element-wise subtraction (shape (r*,c*)). */
   def sub(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame =
-    elementwise("sub", r, u, s, v, cfg)
+          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.sub, Seq(r -> u, s -> v), cfg)
 
   /** Element-wise multiplication (shape (r*,c*)). */
   def emu(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame =
-    elementwise("emu", r, u, s, v, cfg)
-
-  private def elementwise(op: String, r: DataFrame, u: Seq[String],
-                          s: DataFrame, v: Seq[String], cfg: RmaConfig): DataFrame = {
-    if (cfg.distributedElementwise) {
-      val combine: (org.apache.spark.sql.Column, org.apache.spark.sql.Column) => org.apache.spark.sql.Column =
-        op match {
-          case "add" => _ + _
-          case "sub" => _ - _
-          case "emu" => _ * _
-        }
-      elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
-    } else {
-      val spR = split(r, u, cfg)
-      val spS = split(s, v, cfg)
-      require(spR.orderCols.intersect(spS.orderCols).isEmpty,
-        s"order schemas must not overlap (paper §4.2): ${spR.orderCols.intersect(spS.orderCols)}")
-      require(spR.matrix.nRows == spS.matrix.nRows,
-        s"$op: row counts differ (${spR.matrix.nRows} vs ${spS.matrix.nRows})")
-      require(spR.matrix.nCols == spS.matrix.nCols,
-        s"$op: application schemas are not union compatible " +
-          s"(${spR.appCols} vs ${spS.appCols})")
-      val base = op match {
-        case "add" => cfg.backend.add(spR.matrix, spS.matrix)
-        case "sub" => cfg.backend.sub(spR.matrix, spS.matrix)
-        case "emu" => cfg.backend.emu(spR.matrix, spS.matrix)
-      }
-      withTwoOrderParts(spark(r), spR.orderFields, spR.orderRows,
-        spS.orderFields, spS.orderRows, base, spR.appCols)
-    }
-  }
-
-  /** Reducibility helper (paper Definition 6.1): the application part of `df`
-    * sorted by `order` as a matrix. Used by matrix-consistency tests.
-    */
-  def reduce(df: DataFrame, order: Seq[String]): ColMatrix =
-    Constructors.reduce(df, order)
-
-  private def requireSquare(op: String, sp: SplitRelation): Unit =
-    require(sp.matrix.nRows == sp.matrix.nCols,
-      s"$op: application part must be square, got ${sp.matrix.nRows}x${sp.matrix.nCols} " +
-        s"(order schema ${sp.orderCols}, application schema ${sp.appCols})")
+          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.emu, Seq(r -> u, s -> v), cfg)
 }

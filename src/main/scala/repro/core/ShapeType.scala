@@ -6,7 +6,8 @@ package repro.core
   * row count of an input (`R1`, `R2`, `RStar`), the column count of an input
   * (`C1`, `C2`, `CStar`), or one (`One`). The shape type drives which
   * contextual information the relational matrix operation inherits
-  * (paper Tables 2 and 3).
+  * (paper Tables 2 and 3): [[Rma.eval]] picks the relation constructor from
+  * it alone.
   */
 sealed trait Dim
 object Dim {
@@ -24,31 +25,8 @@ final case class ShapeType(rows: Dim, cols: Dim)
 object ShapeType {
   import Dim._
 
-  /** Paper Table 1, with the `vsv` correction discussed in DESIGN.md §3
-    * (V is the j1 x j1 right-singular-vector matrix, shape (c1,c1) like dsv;
-    * the paper's Figure 14 measurements confirm the small result shape).
-    */
-  val ofOp: Map[String, ShapeType] = Map(
-    "usv" -> ShapeType(R1, R1),
-    "opd" -> ShapeType(R1, R2),
-    "inv" -> ShapeType(R1, C1),
-    "evc" -> ShapeType(R1, C1),
-    "chf" -> ShapeType(R1, C1),
-    "qqr" -> ShapeType(R1, C1),
-    "mmu" -> ShapeType(R1, C2),
-    "evl" -> ShapeType(R1, One),
-    "tra" -> ShapeType(C1, R1),
-    "rqr" -> ShapeType(C1, C1),
-    "dsv" -> ShapeType(C1, C1),
-    "vsv" -> ShapeType(C1, C1),
-    "cpd" -> ShapeType(C1, C2),
-    "sol" -> ShapeType(C1, C2),
-    "emu" -> ShapeType(RStar, CStar),
-    "add" -> ShapeType(RStar, CStar),
-    "sub" -> ShapeType(RStar, CStar),
-    "det" -> ShapeType(One, One),
-    "rnk" -> ShapeType(One, One),
-  )
+  /** Paper Table 1, read off the operator table [[OpSpec.all]]. */
+  lazy val ofOp: Map[String, ShapeType] = OpSpec.all.map(o => o.name -> o.shape).toMap
 
   /** Ops whose result keeps the row origin of an input (row count preserved). */
   def preservesRowContext(op: String): Boolean = ofOp(op).rows match {

@@ -16,32 +16,32 @@ class ConsistencySpec extends RmaFixtures {
 
   test("inv is matrix consistent") {
     val mm = collectMatrix(weatherLate, Seq("T"))
-    assertClose(Rma.reduce(Rma.inv(weatherLate, Seq("T")), Seq("T")), Kernels.inv(mm), 1e-9)
+    assertClose(collectMatrix(Rma.inv(weatherLate, Seq("T")), Seq("T")), Kernels.inv(mm), 1e-9)
   }
 
   test("qqr is matrix consistent") {
-    assertClose(Rma.reduce(Rma.qqr(weather, Seq("T")), Seq("T")), Kernels.qr(m)._1, 1e-9)
+    assertClose(collectMatrix(Rma.qqr(weather, Seq("T")), Seq("T")), Kernels.qr(m)._1, 1e-9)
   }
 
   test("rqr is matrix consistent (paper Example 6.4, U' = C)") {
     // C values are the app schema names H, W whose sort order coincides with
     // the application order of the weather relation.
-    assertClose(Rma.reduce(Rma.rqr(weather, Seq("T")), Seq("C")), Kernels.qr(m)._2, 1e-9)
+    assertClose(collectMatrix(Rma.rqr(weather, Seq("T")), Seq("C")), Kernels.qr(m)._2, 1e-9)
   }
 
   test("tra is matrix consistent") {
-    assertClose(Rma.reduce(Rma.tra(weather, Seq("T")), Seq("C")), Kernels.tra(m), 1e-9)
+    assertClose(collectMatrix(Rma.tra(weather, Seq("T")), Seq("C")), Kernels.tra(m), 1e-9)
   }
 
   test("dsv and vsv are matrix consistent") {
     val (_, s, v) = Kernels.svd(m)
-    assertClose(Rma.reduce(Rma.dsv(weather, Seq("T")), Seq("C")),
+    assertClose(collectMatrix(Rma.dsv(weather, Seq("T")), Seq("C")),
       repro.matrix.ColMatrix.diag(s), 1e-9)
-    assertClose(Rma.reduce(Rma.vsv(weather, Seq("T")), Seq("C")), v, 1e-9)
+    assertClose(collectMatrix(Rma.vsv(weather, Seq("T")), Seq("C")), v, 1e-9)
   }
 
   test("usv is matrix consistent") {
-    assertClose(Rma.reduce(Rma.usv(weather, Seq("T")), Seq("T")), Kernels.svdFullU(m), 1e-9)
+    assertClose(collectMatrix(Rma.usv(weather, Seq("T")), Seq("T")), Kernels.svdFullU(m), 1e-9)
   }
 
   test("evl and evc are matrix consistent") {
@@ -49,8 +49,8 @@ class ConsistencySpec extends RmaFixtures {
       Seq(Seq("r1", 5.0, 2.0), Seq("r2", 2.0, 3.0)))
     val sm = collectMatrix(sym, Seq("k"))
     val (w, vec) = Kernels.eigSym(sm)
-    assertClose(Rma.reduce(Rma.evc(sym, Seq("k")), Seq("k")), vec, 1e-9)
-    assertClose(Rma.reduce(Rma.evl(sym, Seq("k")), Seq("k")),
+    assertClose(collectMatrix(Rma.evc(sym, Seq("k")), Seq("k")), vec, 1e-9)
+    assertClose(collectMatrix(Rma.evl(sym, Seq("k")), Seq("k")),
       repro.matrix.ColMatrix.fromVector(w), 1e-9)
   }
 
@@ -58,7 +58,7 @@ class ConsistencySpec extends RmaFixtures {
     val s2 = makeDf(Seq("m" -> StringType, "x" -> DoubleType),
       Seq(Seq("s1", 2.0), Seq("s2", 3.0)))
     val sm = collectMatrix(s2, Seq("m"))
-    assertClose(Rma.reduce(Rma.mmu(weather, Seq("T"), s2, Seq("m")), Seq("T")),
+    assertClose(collectMatrix(Rma.mmu(weather, Seq("T"), s2, Seq("m")), Seq("T")),
       Kernels.mmu(m, sm), 1e-9)
   }
 
@@ -68,18 +68,18 @@ class ConsistencySpec extends RmaFixtures {
     for (distributed <- Seq(true, false)) {
       val cfg = RmaConfig(distributedElementwise = distributed)
       val result = Rma.add(weather, Seq("T"), other, Seq("T2"), cfg)
-      assertClose(Rma.reduce(result, Seq("T", "T2")), Kernels.add(m, om), 1e-9)
+      assertClose(collectMatrix(result, Seq("T", "T2")), Kernels.add(m, om), 1e-9)
     }
   }
 
   test("consistency composes across operations (paper Figure 10)") {
     // tra(tra(r)) reduces to TRA(TRA(m)) = m
     val twice = Rma.tra(Rma.tra(weather, Seq("T")), Seq("C"))
-    assertClose(Rma.reduce(twice, Seq("C")), m, 1e-9)
+    assertClose(collectMatrix(twice, Seq("C")), m, 1e-9)
   }
 
   test("reducibility of the input (paper Example 6.2)") {
-    val n = Rma.reduce(weatherLate, Seq("T"))
+    val n = collectMatrix(weatherLate, Seq("T"))
     assertClose(n, repro.matrix.ColMatrix.fromRows(Seq(Seq(6.0, 7.0), Seq(8.0, 5.0))), 0.0)
   }
 }

@@ -58,10 +58,12 @@ class ErrorsSpec extends RmaFixtures {
   test("element-wise ops require equal cardinalities") {
     val small = makeDf(Seq("m" -> StringType, "h" -> DoubleType, "w" -> DoubleType),
       Seq(Seq("s1", 1.0, 2.0)))
-    val e = intercept[IllegalArgumentException] {
-      Rma.add(weather, Seq("T"), small, Seq("m"), RmaConfig(distributedElementwise = false))
+    for (distributed <- Seq(true, false)) withClue(s"distributedElementwise = $distributed: ") {
+      val e = intercept[IllegalArgumentException] {
+        Rma.add(weather, Seq("T"), small, Seq("m"), RmaConfig(distributedElementwise = distributed))
+      }
+      assert(e.getMessage.contains("row counts differ"))
     }
-    assert(e.getMessage.contains("row counts differ"))
   }
 
   test("usv requires a single-attribute order schema") {

@@ -1,7 +1,36 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.{DoubleType, StringType}
+
 /** The SQL surface of paper Section 7.2: RMA ops in the FROM clause. */
 class RmaSqlSpec extends RmaFixtures {
+
+  // A symmetric positive definite r(k; a, b, d) and a square s(k2; x, y, z):
+  // valid arguments for every op of the table.
+  private lazy val spd = makeDf(Seq("k" -> StringType, "a" -> DoubleType, "b" -> DoubleType, "d" -> DoubleType),
+    Seq(Seq("r3", 0.0, 1.0, 2.0), Seq("r1", 4.0, 1.0, 0.0), Seq("r2", 1.0, 3.0, 1.0)))
+  private lazy val sq = makeDf(Seq("k2" -> StringType, "x" -> DoubleType, "y" -> DoubleType, "z" -> DoubleType),
+    Seq(Seq("s2", 2.0, -1.0, 0.5), Seq("s1", 1.0, 2.0, 3.0), Seq("s3", 0.0, 4.0, -2.0)))
+
+  private type Args = Seq[(DataFrame, Seq[String])]
+  private def unary(f: (DataFrame, Seq[String]) => DataFrame): Args => DataFrame =
+    a => f(a(0)._1, a(0)._2)
+  private def binary(f: (DataFrame, Seq[String], DataFrame, Seq[String]) => DataFrame): Args => DataFrame =
+    a => f(a(0)._1, a(0)._2, a(1)._1, a(1)._2)
+
+  /** The operator API, one named method per op. */
+  private val api: Map[String, Args => DataFrame] = Map(
+    "inv" -> unary(Rma.inv(_, _)), "evc" -> unary(Rma.evc(_, _)), "evl" -> unary(Rma.evl(_, _)),
+    "chf" -> unary(Rma.chf(_, _)), "qqr" -> unary(Rma.qqr(_, _)), "rqr" -> unary(Rma.rqr(_, _)),
+    "usv" -> unary(Rma.usv(_, _)), "dsv" -> unary(Rma.dsv(_, _)), "vsv" -> unary(Rma.vsv(_, _)),
+    "tra" -> unary(Rma.tra(_, _)), "det" -> unary(Rma.det(_, _)), "rnk" -> unary(Rma.rnk(_, _)),
+    "mmu" -> binary(Rma.mmu(_, _, _, _)), "opd" -> binary(Rma.opd(_, _, _, _)),
+    "cpd" -> binary(Rma.cpd(_, _, _, _)), "sol" -> binary(Rma.sol(_, _, _, _)),
+    "add" -> binary(Rma.add(_, _, _, _)), "sub" -> binary(Rma.sub(_, _, _, _)),
+    "emu" -> binary(Rma.emu(_, _, _, _)))
+
+  private def tempViews(): Int = spark.catalog.listTables().collect().count(_.isTemporary)
 
   override def beforeAll(): Unit = {
     super.beforeAll()
@@ -11,6 +40,10 @@ class RmaSqlSpec extends RmaFixtures {
       Seq("m" -> org.apache.spark.sql.types.StringType,
         "x" -> org.apache.spark.sql.types.DoubleType),
       Seq(Seq("s1", 2.0), Seq("s2", 3.0))).createOrReplaceTempView("s")
+    spd.createOrReplaceTempView("spd")
+    sq.createOrReplaceTempView("sq")
+    makeDf(Seq("k" -> StringType, "v" -> DoubleType),
+      Seq(Seq("r1", 1.0), Seq("r1", 2.0))).createOrReplaceTempView("dup")
   }
 
   test("SELECT * FROM INV(r BY U) — the paper's first example query") {
@@ -98,5 +131,38 @@ class RmaSqlSpec extends RmaFixtures {
       RmaSql.expr(spark, "DET(rlate BY T) nonsense")
     }
     assert(e.getMessage.contains("trailing"))
+  }
+
+  test("a syntax error is reported before any operator runs") {
+    // INV(dup BY k) would fail with "not a key" if it were evaluated.
+    val e = intercept[IllegalArgumentException] {
+      RmaSql.expr(spark, "INV(dup BY k) nonsense")
+    }
+    assert(e.getMessage.contains("trailing"))
+  }
+
+  test("sql leaves no temp view behind and its result stays usable") {
+    val before = tempViews()
+    val v = RmaSql.sql(spark, "SELECT * FROM MMU(INV(rlate BY T) BY T, s BY m) WHERE x > 0")
+    assert(tempViews() == before)
+    val first = v.collect().toSeq
+    assert(v.collect().toSeq == first)
+    assert(v.count() == first.length)
+  }
+
+  test("the operator API covers the whole operator table") {
+    assert(api.keySet == OpSpec.all.map(_.name).toSet)
+    assert(OpSpec.all.length == 19)
+  }
+
+  for (op <- OpSpec.all) {
+    test(s"SQL and the operator API give the same relation: ${op.name}") {
+      val args = Seq(spd -> Seq("k"), sq -> Seq("k2")).take(op.arity)
+      val text = Seq("spd BY k", "sq BY k2").take(op.arity).mkString(s"${op.name.toUpperCase}(", ", ", ")")
+      val viaSql = RmaSql.expr(spark, text)
+      val viaApi = api(op.name)(args)
+      assert(viaSql.columns.toSeq == viaApi.columns.toSeq)
+      assertDfClose(viaSql, viaApi.collect().map(_.toSeq).toSeq)
+    }
   }
 }
