@@ -2,7 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.{GenericInternalRow, JoinedRow}
+import org.apache.spark.sql.catalyst.expressions.{Ascending, BaseOrdering, BoundReference, GenericInternalRow,
+  JoinedRow, RowOrdering, SortOrder}
+import org.apache.spark.sql.catalyst.expressions.codegen.GenerateOrdering
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.repro.InternalDF
 import org.apache.spark.sql.types._
@@ -13,9 +15,11 @@ import repro.matrix.ColMatrix
 /** Matrix and relation constructors (paper Definitions 4.2 and 4.4) plus the
   * split/sort/morph/merge machinery of paper Algorithm 1, phrased on Spark.
   *
-  * The *matrix constructor* sorts a relation by its order schema and collects
-  * the application part into a columnar [[ColMatrix]] (one array per column —
-  * the BAT analog). The *relation constructor* rebuilds a DataFrame from
+  * The *matrix constructor* collects a relation's order and application parts
+  * to the driver, sorts them there by the order schema, and splits the
+  * application part into a columnar [[ColMatrix]] (one array per column — the
+  * BAT analog), like the in-process sort, leftfetchjoin and split of paper
+  * Algorithm 1. The *relation constructor* rebuilds a DataFrame from
   * contextual information plus a base-result matrix. Splitting and merging
   * operate on schemas only and never touch data, exactly as in the paper.
   *
@@ -75,23 +79,34 @@ object Constructors {
     require(badTypes.isEmpty,
       s"application schema attributes $badTypes are not numeric; " +
         "add them to the order schema or project them away (paper footnote 2)")
+    val unsortable = order.map(df.schema(_)).filterNot(f => RowOrdering.isOrderable(f.dataType))
+    require(unsortable.isEmpty,
+      s"order schema attributes ${unsortable.map(f => s"${f.name}: ${f.dataType.sql}")} cannot be sorted")
     (order, app)
   }
 
   /** Matrix constructor μ̄_U(r) together with the order part μ_U(r):
-    * sort by U, split, and collect columnar. The `assumeSorted` flag is the
-    * paper's §8.1 optimisation that skips the sort for pre-sorted input.
+    * collect U and the application part (cast to double) unsorted, sort the
+    * rows on the driver by U, and split them into order rows and columns.
+    *
+    * A cached input costs one Spark job and no shuffle; a driver-local input
+    * (a `LocalRelation`, such as a nested op's result) costs none. The sort
+    * is Catalyst's ascending order, the one `df.sort(U)` uses: nulls first,
+    * NaN last, -0.0 equal to 0.0, strings in binary order. The key check
+    * compares adjacent rows with the same order. The `assumeSorted` flag is
+    * the paper's §8.1 optimisation that skips the sort for pre-sorted input.
     */
   def collectSplit(df: DataFrame, order: Seq[String],
                    validateKeys: Boolean = true,
                    assumeSorted: Boolean = false): SplitRelation = {
     val (u, app) = resolveSchemas(df, order)
-    val projected = df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*)
-    val sorted = if (assumeSorted) projected else projected.sort(u.map(col): _*)
-    val rows = InternalDF.collectInternal(sorted)
+    val fields = u.map(c => df.schema(c))
+    val rows = InternalDF.collectInternal(df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*))
+    val byKey = ascending(fields)
+    if (!assumeSorted) java.util.Arrays.parallelSort(rows, byKey)
     val n = rows.length
     val k = app.length
-    val uTypes = u.map(c => df.schema(c).dataType)
+    val uTypes = fields.map(_.dataType)
     val orderRows = Array.ofDim[Array[Any]](n)
     val cols = Array.fill(k)(new Array[Double](n))
     var i = 0
@@ -112,23 +127,22 @@ object Constructors {
     if (validateKeys) {
       var p = 1
       while (p < n) {
-        require(!sameKey(orderRows(p - 1), orderRows(p)),
+        require(byKey.compare(rows(p - 1), rows(p)) != 0,
           s"order schema $u is not a key: duplicate value ${orderRows(p).mkString("(", ",", ")")}")
         p += 1
       }
     }
-    val fields = u.map(c => df.schema(c))
     SplitRelation(u, app, fields, orderRows, new ColMatrix(cols, n))
   }
 
-  private def sameKey(a: Array[Any], b: Array[Any]): Boolean = {
-    var i = 0
-    while (i < a.length) {
-      if (a(i) != b(i)) return false
-      i += 1
-    }
-    true
-  }
+  /** Catalyst's ascending order on the leading `keys.length` fields of a row.
+    * Generated code with no mutable state, so the threads of a parallel sort
+    * may share it.
+    */
+  private def ascending(keys: Seq[StructField]): BaseOrdering =
+    GenerateOrdering.generate(keys.zipWithIndex.map { case (f, i) =>
+      SortOrder(BoundReference(i, f.dataType, f.nullable), Ascending)
+    })
 
   // -------------------------------------------------------------------
   // Relation constructors (merge step): schema-level only, values are
@@ -222,20 +236,21 @@ object Constructors {
   }
 
   /** Distributed element-wise op: schema U ∘ V ∘ Ū like the collect path,
-    * but rows never leave the cluster.
+    * but rows never leave the cluster. `op` names the operation in errors.
     */
   def elementwiseDistributed(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
                              combine: (Column, Column) => Column,
-                             validateKeys: Boolean, assumeSorted: Boolean): DataFrame = {
+                             validateKeys: Boolean, assumeSorted: Boolean,
+                             op: String = "element-wise op"): DataFrame = {
     val (ru, rApp) = resolveSchemas(r, u)
     val (sv, sApp) = resolveSchemas(s, v)
     require(rApp.length == sApp.length,
-      s"application schemas are not union compatible: $rApp vs $sApp")
+      s"$op: application schemas are not union compatible ($rApp vs $sApp)")
     require(ru.intersect(sv).isEmpty,
-      s"order schemas must not overlap (paper §4.2): ${ru.intersect(sv)}")
+      s"$op: order schemas must not overlap (paper §4.2): ${ru.intersect(sv)}")
     if (validateKeys) {
       val (nr, ns) = (requireKey(r, ru), requireKey(s, sv))
-      require(nr == ns, s"element-wise op: row counts differ ($nr vs $ns)")
+      require(nr == ns, s"$op: row counts differ ($nr vs $ns)")
     }
     val rIdx = withGlobalRank(r, ru, assumeSorted).select(
       (col(IdxCol) +: (ru ++ rApp).map(c => col(c).as(s"__r_$c"))): _*)

@@ -50,23 +50,52 @@ object Rma {
   /** Evaluate `op` on its arguments, each a relation with its order schema.
     *
     * add/sub/emu run on the distributed element-wise path when
-    * `cfg.distributedElementwise` is set. Every other call splits each
-    * argument once, checks the op's preconditions, runs its kernel on
-    * `cfg.backend`, and builds the result with the relation constructor that
-    * the op's shape type selects (paper Tables 2 and 3).
+    * `cfg.distributedElementwise` is set. Every other call checks that a
+    * column cast has a single order attribute, splits each distinct argument
+    * once, checks the op's preconditions, runs its kernel on `cfg.backend`,
+    * and builds the result with the relation constructor that the op's shape
+    * type selects (paper Tables 2 and 3).
     */
   def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])],
-           cfg: RmaConfig = RmaConfig.default): DataFrame = {
+           cfg: RmaConfig = RmaConfig.default): DataFrame = eval(op, args, cfg, new Splits(cfg))
+
+  /** [[eval]] with splits shared across the calls of one RMA expression. */
+  private[core] def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])], cfg: RmaConfig,
+                         splits: Splits): DataFrame = {
     op.requireArity(args.length)
     op.combine.filter(_ => cfg.distributedElementwise) match {
       case Some(combine) =>
         val Seq((r, u), (s, v)) = args
-        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
+        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted, op.name)
       case None =>
-        val sp = args.map { case (df, u) => collectSplit(df, u, cfg.validateKeys, cfg.assumeSorted) }
+        // Result columns named by key values (∇U, paper Eq. 2) need |U| = 1.
+        val castOrder = op.shape.cols match {
+          case R1 => Some(args(0)._2)
+          case R2 => Some(args(1)._2)
+          case _  => None
+        }
+        castOrder.foreach(u =>
+          require(u.length == 1, s"${op.name}: column cast requires a single order attribute, got $u"))
+        val sp = args.map { case (df, u) => splits(df, u) }
         op.preconditions.foreach(p => require(p.holds(sp), s"${op.name}: ${p.why(sp)}"))
         relation(args.head._1.sparkSession, op, sp, op.kernel(cfg.backend, sp.map(_.matrix)))
     }
+  }
+
+  /** The matrix constructor for the calls of one RMA expression: each
+    * (relation, order schema) pair is split once, however often it occurs.
+    * Relations are told apart by reference. Sharing a split is safe because
+    * no kernel mutates its input matrices.
+    */
+  private[core] final class Splits(cfg: RmaConfig) {
+    private val done = scala.collection.mutable.ArrayBuffer.empty[(DataFrame, Seq[String], SplitRelation)]
+
+    def apply(df: DataFrame, u: Seq[String]): SplitRelation =
+      done.collectFirst { case (d, v, sp) if (d eq df) && v == u => sp }.getOrElse {
+        val sp = collectSplit(df, u, cfg.validateKeys, cfg.assumeSorted)
+        done += ((df, u, sp))
+        sp
+      }
   }
 
   /** The relation constructor for the op's shape type. Rows: r1 keeps the

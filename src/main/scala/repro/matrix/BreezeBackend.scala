@@ -118,6 +118,12 @@ object BreezeBackend extends MatrixBackend {
 
   private val Threads = math.max(1, Runtime.getRuntime.availableProcessors)
 
+  // LAPACK's pure-Java fallback (F2J) computes its machine constants on the
+  // first dlamch call in unsynchronised statics, and concurrent first calls
+  // can return or cache a wrong epsilon. Compute them once, here, before the
+  // TSQR threads can make that first call.
+  dev.ludovic.netlib.lapack.LAPACK.getInstance().dlamch("e")
+
   private def tsqrBlocks(a: ColMatrix): Int =
     if (a.nRows < 65536) 1
     else math.max(1, math.min(Threads, a.nRows / math.max(1, 8 * a.nCols)))

@@ -1,6 +1,10 @@
 package repro.core
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.types.{DoubleType, StringType}
+
+import repro.matrix.{ColMatrix, ColumnarBackend, MatrixBackend}
 
 /** Validation behaviour: order schemas must be keys, application schemas
   * numeric, shapes compatible — with actionable error messages.
@@ -63,12 +67,29 @@ class ErrorsSpec extends RmaFixtures {
         Rma.add(weather, Seq("T"), small, Seq("m"), RmaConfig(distributedElementwise = distributed))
       }
       assert(e.getMessage.contains("row counts differ"))
+      assert(e.getMessage.contains("add: "), "the message names the op")
     }
   }
 
   test("usv requires a single-attribute order schema") {
     val e = intercept[IllegalArgumentException] { Rma.usv(weather, Seq("T", "H")) }
     assert(e.getMessage.contains("single order attribute"))
+  }
+
+  test("a column cast with several order attributes is rejected before the kernel runs") {
+    val backend = new CountingBackend
+    val cfg = RmaConfig(backend = backend)
+    val s2 = makeDf(Seq("m" -> StringType, "n" -> StringType, "x" -> DoubleType, "y" -> DoubleType),
+      Seq(Seq("s1", "t1", 3.0, 1.0), Seq("s2", "t2", 4.0, 2.0)))
+    val calls = Seq(
+      "usv" -> (() => Rma.usv(weather, Seq("T", "H"), cfg)),
+      "tra" -> (() => Rma.tra(weather, Seq("T", "H"), cfg)),
+      "opd" -> (() => Rma.opd(weather, Seq("T"), s2, Seq("m", "n"), cfg)))
+    for ((op, call) <- calls) withClue(s"$op: ") {
+      val e = intercept[IllegalArgumentException] { call() }
+      assert(e.getMessage.contains(s"$op: column cast requires a single order attribute"))
+    }
+    assert(backend.calls.isEmpty, s"kernels ran: ${backend.calls}")
   }
 
   test("nulls in the application part are rejected") {
@@ -90,5 +111,30 @@ class ErrorsSpec extends RmaFixtures {
     val small = makeDf(Seq("m" -> StringType, "x" -> DoubleType), Seq(Seq("s1", 1.0)))
     val e = intercept[IllegalArgumentException] { Rma.cpd(weather, Seq("T"), small, Seq("m")) }
     assert(e.getMessage.contains("row counts differ"))
+  }
+
+  /** The columnar kernels, counting calls per kernel. */
+  private final class CountingBackend extends MatrixBackend {
+    val calls: mutable.Map[String, Int] = mutable.Map.empty[String, Int].withDefaultValue(0)
+    private def count[T](kernel: String)(body: => T): T = { calls(kernel) += 1; body }
+    private val b = ColumnarBackend
+
+    val name = "counting"
+    def add(x: ColMatrix, y: ColMatrix): ColMatrix = count("add")(b.add(x, y))
+    def sub(x: ColMatrix, y: ColMatrix): ColMatrix = count("sub")(b.sub(x, y))
+    def emu(x: ColMatrix, y: ColMatrix): ColMatrix = count("emu")(b.emu(x, y))
+    def mmu(x: ColMatrix, y: ColMatrix): ColMatrix = count("mmu")(b.mmu(x, y))
+    def tra(x: ColMatrix): ColMatrix = count("tra")(b.tra(x))
+    def cpd(x: ColMatrix, y: ColMatrix): ColMatrix = count("cpd")(b.cpd(x, y))
+    def opd(x: ColMatrix, y: ColMatrix): ColMatrix = count("opd")(b.opd(x, y))
+    def inv(x: ColMatrix): ColMatrix = count("inv")(b.inv(x))
+    def det(x: ColMatrix): Double = count("det")(b.det(x))
+    def rnk(x: ColMatrix): Int = count("rnk")(b.rnk(x))
+    def chf(x: ColMatrix): ColMatrix = count("chf")(b.chf(x))
+    def qr(x: ColMatrix): (ColMatrix, ColMatrix) = count("qr")(b.qr(x))
+    def svd(x: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = count("svd")(b.svd(x))
+    def svdFullU(x: ColMatrix): ColMatrix = count("svdFullU")(b.svdFullU(x))
+    def eig(x: ColMatrix): (Array[Double], ColMatrix) = count("eig")(b.eig(x))
+    def sol(x: ColMatrix, y: ColMatrix): ColMatrix = count("sol")(b.sol(x, y))
   }
 }

@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{AnalysisException, DataFrame}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.repro.SparkJobs
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
 /** The SQL surface of paper Section 7.2: RMA ops in the FROM clause. */
@@ -148,6 +150,43 @@ class RmaSqlSpec extends RmaFixtures {
     val first = v.collect().toSeq
     assert(v.collect().toSeq == first)
     assert(v.count() == first.length)
+  }
+
+  test("a missing table is reported before any operator runs") {
+    var e: AnalysisException = null
+    val jobs = SparkJobs.count(spark) {
+      e = intercept[AnalysisException] {
+        RmaSql.sql(spark, "SELECT * FROM MMU(INV(rlate BY T) BY T, missing_tbl BY m)")
+      }
+    }
+    assert(jobs == 0)
+    assert(e.getMessage.contains("missing_tbl"))
+  }
+
+  test("the paper's OLS query splits each cached input once and nested results without a job") {
+    // Cached x(k; x1, x2, x3) and y(k; y) with y = X·(1, -2, 0.5), keys stored out of order.
+    val n = 40
+    val x = spark.range(n).select(((col("id") * 7) % n).cast("int").as("k"),
+      (col("id") % 5 + 1).cast("double").as("x1"), (col("id") * col("id") % 11).cast("double").as("x2"),
+      (col("id") % 3 - col("id") / 7).cast("double").as("x3")).cache()
+    val y = x.select(col("k"), (col("x1") - col("x2") * 2 + col("x3") * 0.5).as("y")).cache()
+    x.count(); y.count()
+    x.createOrReplaceTempView("olsx")
+    y.createOrReplaceTempView("olsy")
+    try {
+      var beta: DataFrame = null
+      val jobs = SparkJobs.count(spark) {
+        beta = RmaSql.sql(spark,
+          "SELECT * FROM MMU(INV(CPD(olsx BY k, olsx BY k) BY C) BY C, CPD(olsx BY k, olsy BY k) BY C)")
+      }
+      assert(jobs <= 2, "one job per distinct input (olsx, olsy), none for nested results")
+      assertDfClose(beta, Seq(Seq("x1", 1.0), Seq("x2", -2.0), Seq("x3", 0.5)), 1e-8)
+      assert(SparkJobs.count(spark) { Rma.cpd(x, Seq("k"), x, Seq("k")) } == 1)
+    } finally {
+      spark.catalog.dropTempView("olsx")
+      spark.catalog.dropTempView("olsy")
+      y.unpersist(); x.unpersist()
+    }
   }
 
   test("the operator API covers the whole operator table") {
