@@ -11,9 +11,10 @@ import repro.matrix.{BreezeBackend, ColMatrix}
   * library format and back, for ADD, EMU, MMU, QQR, DSV, VSV on relations
   * with 50 columns and 100K..500K rows.
   *
-  * Our RMA+MKL analog is the Breeze backend; its ColMatrix<->DenseMatrix
-  * copies are instrumented ([[BreezeBackend.lastConvertNanos]]) exactly like
-  * the paper measures the BAT<->MKL-array copies.
+  * Our RMA+MKL analog is the Breeze backend; each bare backend call runs in
+  * a [[BreezeBackend.countingCopies]] scope, which times its
+  * ColMatrix<->DenseMatrix copies exactly like the paper measures the
+  * BAT<->MKL-array copies.
   */
 object Fig14 {
 
@@ -31,18 +32,21 @@ object Fig14 {
 
   final case class Result(rowsK: Int, op: String, sharePct: Double)
 
-  private def runOp(op: String, m1: ColMatrix, m2: ColMatrix, mSq: ColMatrix): Double = {
-    val (_, totalSec) = BenchUtil.time {
-      op match {
-        case "ADD" => BreezeBackend.add(m1, m2)
-        case "EMU" => BreezeBackend.emu(m1, m2)
-        case "MMU" => BreezeBackend.mmu(m1, mSq)
-        case "QQR" => BreezeBackend.qr(m1)
-        case "DSV" => BreezeBackend.svd(m1)._2
-        case "VSV" => BreezeBackend.svd(m1)._3
+  /** Runs one op; returns (total, copy) seconds. */
+  private def runOp(op: String, m1: ColMatrix, m2: ColMatrix, mSq: ColMatrix): (Double, Double) = {
+    val ((_, copyNanos), totalSec) = BenchUtil.time {
+      BreezeBackend.countingCopies {
+        op match {
+          case "ADD" => BreezeBackend.add(m1, m2)
+          case "EMU" => BreezeBackend.emu(m1, m2)
+          case "MMU" => BreezeBackend.mmu(m1, mSq)
+          case "QQR" => BreezeBackend.qr(m1)
+          case "DSV" => BreezeBackend.svd(m1)._2
+          case "VSV" => BreezeBackend.svd(m1)._3
+        }
       }
     }
-    totalSec
+    (totalSec, copyNanos / 1e9)
   }
 
   def run(spark: SparkSession, rowsKs: Seq[Int] = Seq(100, 300, 500),
@@ -65,10 +69,7 @@ object Fig14 {
       ops.map { op =>
         // min of 3 runs; share taken from the minimal (least-disturbed) run
         System.gc()
-        val (totalSec, convertSec) = (1 to 3).map { _ =>
-          val t = runOp(op, m1, m2, mSq)
-          (t, BreezeBackend.lastConvertNanos / 1e9)
-        }.minBy(_._1)
+        val (totalSec, convertSec) = (1 to 3).map(_ => runOp(op, m1, m2, mSq)).minBy(_._1)
         val share = 100.0 * convertSec / totalSec
         println(f"  [fig14] ${rk}K $op -> share=$share%.0f%% (total ${totalSec}%.2fs)")
         Result(rk, op, share)

@@ -5,7 +5,7 @@ import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.{Ascending, BaseOrdering, BoundReference, GenericInternalRow,
   JoinedRow, RowOrdering, SortOrder}
 import org.apache.spark.sql.catalyst.expressions.codegen.GenerateOrdering
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, count, lit}
 import org.apache.spark.sql.repro.InternalDF
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
@@ -237,6 +237,9 @@ object Constructors {
 
   /** Distributed element-wise op: schema U ∘ V ∘ Ū like the collect path,
     * but rows never leave the cluster. `op` names the operation in errors.
+    * The checks run in the collect path's order: both schema checks before
+    * any job, then one aggregate per input for its row count and nulls (and,
+    * with `validateKeys`, a distinct count for its key), then the row counts.
     */
   def elementwiseDistributed(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
                              combine: (Column, Column) => Column,
@@ -244,14 +247,12 @@ object Constructors {
                              op: String = "element-wise op"): DataFrame = {
     val (ru, rApp) = resolveSchemas(r, u)
     val (sv, sApp) = resolveSchemas(s, v)
-    require(rApp.length == sApp.length,
-      s"$op: application schemas are not union compatible ($rApp vs $sApp)")
     require(ru.intersect(sv).isEmpty,
       s"$op: order schemas must not overlap (paper §4.2): ${ru.intersect(sv)}")
-    if (validateKeys) {
-      val (nr, ns) = (requireKey(r, ru), requireKey(s, sv))
-      require(nr == ns, s"$op: row counts differ ($nr vs $ns)")
-    }
+    require(rApp.length == sApp.length,
+      s"$op: application schemas are not union compatible ($rApp vs $sApp)")
+    val (nr, ns) = (checkedCount(r, ru, rApp, validateKeys), checkedCount(s, sv, sApp, validateKeys))
+    require(nr == ns, s"$op: row counts differ ($nr vs $ns)")
     val rIdx = withGlobalRank(r, ru, assumeSorted).select(
       (col(IdxCol) +: (ru ++ rApp).map(c => col(c).as(s"__r_$c"))): _*)
     val sIdx = withGlobalRank(s, sv, assumeSorted).select(
@@ -267,12 +268,20 @@ object Constructors {
     joined.select(outCols: _*)
   }
 
-  /** Require `cols0` to be a key of `df`; returns the row count of `df`. */
-  private def requireKey(df: DataFrame, cols0: Seq[String]): Long = {
-    val total = df.count()
-    val distinct = df.select(cols0.map(col): _*).distinct().count()
-    require(total == distinct,
-      s"order schema $cols0 is not a key ($distinct distinct of $total rows)")
+  /** Row count of `df`, from one aggregate that also rejects nulls in the
+    * application attributes `app`, like the matrix constructor. With
+    * `validateKeys`, a second job requires `key` to be a key.
+    */
+  private def checkedCount(df: DataFrame, key: Seq[String], app: Seq[String],
+                           validateKeys: Boolean): Long = {
+    val counts = df.agg(count(lit(1)), app.map(c => count(col(c))): _*).head()
+    val total = counts.getLong(0)
+    app.indices.foreach(j =>
+      require(counts.getLong(j + 1) == total, s"null in application attribute ${app(j)}"))
+    if (validateKeys) {
+      val distinct = df.select(key.map(col): _*).distinct().count()
+      require(total == distinct, s"order schema $key is not a key ($distinct distinct of $total rows)")
+    }
     total
   }
 }

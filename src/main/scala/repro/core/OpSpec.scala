@@ -62,7 +62,7 @@ object OpSpec {
 
   private def elementwise(name: String, combine: (Column, Column) => Column)(
       k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): OpSpec =
-    binary(name, RStar, CStar, disjointOrders, sameRows, sameWidth)(k).copy(combine = Some(combine))
+    binary(name, RStar, CStar, disjointOrders, sameWidth, sameRows)(k).copy(combine = Some(combine))
 
   private def scalar(v: Double): ColMatrix = ColMatrix.fromVector(Array(v))
 

@@ -1,5 +1,11 @@
 package repro.matrix
 
+import java.util.concurrent.{Callable, Executors}
+import java.util.concurrent.atomic.LongAdder
+
+import scala.jdk.CollectionConverters._
+import scala.util.DynamicVariable
+
 import breeze.linalg.{DenseMatrix, cholesky, eigSym => beigSym, qr => bqr, svd => bsvd}
 
 /** The "delegate to a specialised library" backend: analog of RMA+MKL.
@@ -7,98 +13,98 @@ import breeze.linalg.{DenseMatrix, cholesky, eigSym => beigSym, qr => bqr, svd =
   * Like the paper's MKL path, data must first be copied from the columnar
   * layout into a contiguous dense format (Breeze's column-major
   * `DenseMatrix`, backed by netlib BLAS/LAPACK), and the result copied back.
-  * The copy time is instrumented ([[BreezeBackend.lastConvertNanos]]) so the
+  * Every copy goes through `toDense` or `copyBack`, and
+  * [[BreezeBackend.countingCopies]] reports their time, so the
   * transformation-share experiment (paper Figure 14) can report the same
-  * breakdown the paper does.
+  * breakdown the paper does. The backend itself keeps no state.
   */
 object BreezeBackend extends MatrixBackend {
   val name = "breeze"
 
-  /** Nanoseconds spent converting ColMatrix <-> DenseMatrix in the most
-    * recent operation (driver-side, not thread-safe — bench use only).
+  /** Copy-time counter of the innermost [[countingCopies]] scope of this
+    * thread; null outside a scope, so production calls time nothing.
     */
-  @volatile var lastConvertNanos: Long = 0L
+  private val copyNanos = new DynamicVariable[LongAdder](null)
 
-  private def resetTimer(): Unit = lastConvertNanos = 0L
-
-  private def timeConvert[A](f: => A): A = {
-    val t0 = System.nanoTime()
-    val r = f
-    lastConvertNanos += System.nanoTime() - t0
-    r
-  }
-
-  /** Copy the columnar matrix to a contiguous column-major dense array —
-    * the analog of copying BATs to the MKL input format.
+  /** Run `body` and return its result with the nanoseconds it spent copying
+    * between [[ColMatrix]] and `DenseMatrix`, summed over threads (TSQR's
+    * pool threads included). Copies inside a nested scope count only there.
     */
-  private def toDense(a: ColMatrix): DenseMatrix[Double] = timeConvert {
-    val n = a.nRows; val k = a.nCols
-    val data = new Array[Double](n * k)
-    var j = 0
-    while (j < k) {
-      System.arraycopy(a.cols(j), 0, data, j * n, n)
-      j += 1
-    }
-    new DenseMatrix(n, k, data)
+  def countingCopies[A](body: => A): (A, Long) = {
+    val counter = new LongAdder
+    val result = copyNanos.withValue(counter)(body)
+    (result, counter.sum)
   }
 
-  /** Copy a dense result back into columnar layout. */
-  private def fromDense(m: DenseMatrix[Double]): ColMatrix = timeConvert {
-    val d =
-      if (!m.isTranspose && m.offset == 0 && m.majorStride == m.rows) m
-      else m.copy
-    val n = d.rows; val k = d.cols
-    val cols = Array.ofDim[Array[Double]](k)
-    var j = 0
-    while (j < k) {
-      val c = new Array[Double](n)
-      System.arraycopy(d.data, d.offset + j * d.majorStride, c, 0, n)
-      cols(j) = c
-      j += 1
+  private def timed[A](counter: LongAdder)(copy: => A): A =
+    if (counter eq null) copy
+    else {
+      val t0 = System.nanoTime()
+      val r = copy
+      counter.add(System.nanoTime() - t0)
+      r
     }
-    new ColMatrix(cols, n)
+
+  /** Copy rows `[lo, hi)` of the columnar matrix to a contiguous
+    * column-major dense array — the analog of copying BATs to the MKL input
+    * format.
+    */
+  private def toDense(a: ColMatrix, lo: Int, hi: Int): DenseMatrix[Double] = {
+    val len = hi - lo; val k = a.nCols
+    val data = new Array[Double](len * k)
+    for (j <- 0 until k) System.arraycopy(a.cols(j), lo, data, j * len, len)
+    new DenseMatrix(len, k, data)
   }
 
-  def add(a: ColMatrix, b: ColMatrix): ColMatrix = { resetTimer(); fromDense(toDense(a) + toDense(b)) }
-  def sub(a: ColMatrix, b: ColMatrix): ColMatrix = { resetTimer(); fromDense(toDense(a) - toDense(b)) }
-  def emu(a: ColMatrix, b: ColMatrix): ColMatrix = { resetTimer(); fromDense(toDense(a) *:* toDense(b)) }
+  /** Copy a dense matrix into the column arrays `cols`, from row `lo` on. */
+  private def copyBack(m: DenseMatrix[Double], cols: Array[Array[Double]], lo: Int): Unit = {
+    val d = if (m.isTranspose) m.copy else m
+    for (j <- 0 until d.cols) System.arraycopy(d.data, d.offset + j * d.majorStride, cols(j), lo, d.rows)
+  }
+
+  private def toDense(a: ColMatrix): DenseMatrix[Double] =
+    timed(copyNanos.value)(toDense(a, 0, a.nRows))
+
+  private def fromDense(m: DenseMatrix[Double]): ColMatrix = timed(copyNanos.value) {
+    val cols = Array.fill(m.cols)(new Array[Double](m.rows))
+    copyBack(m, cols, 0)
+    new ColMatrix(cols, m.rows)
+  }
+
+  def add(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) + toDense(b))
+  def sub(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) - toDense(b))
+  def emu(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) *:* toDense(b))
 
   def mmu(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    resetTimer()
     require(a.nCols == b.nRows, s"mmu: inner dimensions differ (${a.nCols} vs ${b.nRows})")
     fromDense(toDense(a) * toDense(b))
   }
 
-  def tra(a: ColMatrix): ColMatrix = { resetTimer(); fromDense(toDense(a).t) }
+  def tra(a: ColMatrix): ColMatrix = fromDense(toDense(a).t)
 
   def cpd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    resetTimer()
     require(a.nRows == b.nRows, s"cpd: row counts differ (${a.nRows} vs ${b.nRows})")
     fromDense(toDense(a).t * toDense(b))
   }
 
   def opd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    resetTimer()
     require(a.nCols == b.nCols, s"opd: column counts differ (${a.nCols} vs ${b.nCols})")
     fromDense(toDense(a) * toDense(b).t)
   }
 
   def inv(a: ColMatrix): ColMatrix = {
-    resetTimer()
     require(a.nCols == a.nRows, s"inv: matrix must be square, got ${a.nRows}x${a.nCols}")
     fromDense(breeze.linalg.inv(toDense(a)))
   }
 
   def det(a: ColMatrix): Double = {
-    resetTimer()
     require(a.nCols == a.nRows, s"det: matrix must be square, got ${a.nRows}x${a.nCols}")
     breeze.linalg.det(toDense(a))
   }
 
-  def rnk(a: ColMatrix): Int = { resetTimer(); breeze.linalg.rank(toDense(a)) }
+  def rnk(a: ColMatrix): Int = breeze.linalg.rank(toDense(a))
 
   def chf(a: ColMatrix): ColMatrix = {
-    resetTimer()
     require(Kernels.isSymmetric(a), "chol: matrix must be symmetric")
     // Breeze returns lower L with a = L * L^T; our convention is upper R
     // with a = R^T * R (R's chol), so return L^T.
@@ -106,7 +112,6 @@ object BreezeBackend extends MatrixBackend {
   }
 
   def qr(a: ColMatrix): (ColMatrix, ColMatrix) = {
-    resetTimer()
     require(a.nRows >= a.nCols, s"qr: need rows >= cols, got ${a.nRows}x${a.nCols}")
     val blocks = tsqrBlocks(a)
     if (blocks > 1) tsqr(a, blocks)
@@ -136,56 +141,34 @@ object BreezeBackend extends MatrixBackend {
     */
   private def tsqr(a: ColMatrix, blocks: Int): (ColMatrix, ColMatrix) = {
     val n = a.nRows; val k = a.nCols
-    val convertNanos = new java.util.concurrent.atomic.AtomicLong()
+    val counter = copyNanos.value // the pool threads count into the caller's scope
     val bounds = {
       val step = n / blocks
       (0 until blocks).map(b => (b * step, if (b == blocks - 1) n else (b + 1) * step))
     }
-    def denseBlock(lo: Int, hi: Int): DenseMatrix[Double] = {
-      val t0 = System.nanoTime()
-      val len = hi - lo
-      val data = new Array[Double](len * k)
-      var j = 0
-      while (j < k) { System.arraycopy(a.cols(j), lo, data, j * len, len); j += 1 }
-      convertNanos.addAndGet(System.nanoTime() - t0)
-      new DenseMatrix(len, k, data)
-    }
-    val pool = java.util.concurrent.Executors.newFixedThreadPool(Threads)
+    val pool = Executors.newFixedThreadPool(Threads)
+    def perBlock[T](task: Int => T): IndexedSeq[T] =
+      pool.invokeAll(bounds.indices.map(b => (() => task(b)): Callable[T]).asJava)
+        .asScala.map(_.get()).toIndexedSeq
     try {
-      import scala.jdk.CollectionConverters._
-      val stage1 = pool.invokeAll(bounds.map { case (lo, hi) =>
-        new java.util.concurrent.Callable[(DenseMatrix[Double], DenseMatrix[Double])] {
-          def call() = { val f = bqr.reduced(denseBlock(lo, hi)); (f.q, f.r) }
-        }
-      }.asJava).asScala.map(_.get()).toIndexedSeq
+      val stage1 = perBlock { b =>
+        val (lo, hi) = bounds(b)
+        val f = bqr.reduced(timed(counter)(toDense(a, lo, hi)))
+        (f.q, f.r)
+      }
       // QR of the stacked per-block R factors gives the final R and the
       // k-x-k combination blocks of Q.
       val f2 = bqr.reduced(DenseMatrix.vertcat(stage1.map(_._2): _*))
       val qCols = Array.fill(k)(new Array[Double](n))
-      pool.invokeAll(bounds.indices.map { b =>
-        new java.util.concurrent.Callable[Unit] {
-          def call(): Unit = {
-            val (lo, hi) = bounds(b)
-            val qb = stage1(b)._1 * f2.q(b * k until (b + 1) * k, ::)
-            val t0 = System.nanoTime()
-            val len = hi - lo
-            val d = if (qb.isTranspose) qb.copy else qb
-            var j = 0
-            while (j < k) {
-              System.arraycopy(d.data, d.offset + j * d.majorStride, qCols(j), lo, len)
-              j += 1
-            }
-            convertNanos.addAndGet(System.nanoTime() - t0)
-          }
-        }
-      }.asJava).asScala.foreach(_.get())
-      lastConvertNanos += convertNanos.get()
+      perBlock { b =>
+        val qb = stage1(b)._1 * f2.q(b * k until (b + 1) * k, ::)
+        timed(counter)(copyBack(qb, qCols, bounds(b)._1))
+      }
       Canon.canonQr(new ColMatrix(qCols, n), fromDense(f2.r))
     } finally pool.shutdown()
   }
 
   def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = {
-    resetTimer()
     val f = bsvd.reduced(toDense(a))
     Canon.canonSvd(fromDense(f.leftVectors), f.singularValues.toArray, fromDense(f.rightVectors.t))
   }
@@ -197,14 +180,12 @@ object BreezeBackend extends MatrixBackend {
   }
 
   def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
-    resetTimer()
     require(Kernels.isSymmetric(a), "eig: only symmetric matrices are supported (see DESIGN.md)")
     val f = beigSym(toDense(a))
     Canon.canonEig(f.eigenvalues.toArray, fromDense(f.eigenvectors))
   }
 
   def sol(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    resetTimer()
     require(a.nRows == b.nRows, s"solve: row counts differ (${a.nRows} vs ${b.nRows})")
     fromDense(toDense(a) \ toDense(b))
   }

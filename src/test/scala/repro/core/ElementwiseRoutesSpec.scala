@@ -1,0 +1,77 @@
+package repro.core
+
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.repro.SparkJobs
+import org.apache.spark.sql.types.{DoubleType, StringType}
+
+/** add/sub/emu give the same relation or the same error on the collect and
+  * on the distributed element-wise route: no null and no row count slips
+  * through either, and faulty input reports the same first error.
+  */
+class ElementwiseRoutesSpec extends RmaFixtures {
+
+  private def onBothRoutes(validateKeys: Boolean = true)(body: RmaConfig => Unit): Unit =
+    for (distributed <- Seq(true, false)) withClue(s"distributedElementwise = $distributed: ") {
+      body(RmaConfig(distributedElementwise = distributed, validateKeys = validateKeys))
+    }
+
+  /** A relation with string key `key`, application attributes `app` and
+    * `n` rows.
+    */
+  private def rel(key: String, app: Seq[String], n: Int): DataFrame =
+    makeDf((key -> StringType) +: app.map(_ -> DoubleType),
+      (1 to n).map(i => s"$key$i" +: app.indices.map(j => (10 * i + j).toDouble)))
+
+  test("a null in an application attribute is rejected on both routes") {
+    val withNull = makeDf(Seq("k" -> StringType, "a" -> DoubleType, "b" -> DoubleType),
+      Seq(Seq("k1", 1.0, 2.0), Seq("k2", null, 3.0), Seq("k3", 4.0, 5.0)))
+    val ok = rel("m", Seq("a", "b"), 3)
+    for (validateKeys <- Seq(true, false)) onBothRoutes(validateKeys) { cfg =>
+      for ((r, u, s, v) <- Seq((withNull, "k", ok, "m"), (ok, "m", withNull, "k"))) {
+        val e = intercept[IllegalArgumentException] { Rma.add(r, Seq(u), s, Seq(v), cfg) }
+        assert(e.getMessage.contains("null in application attribute a"))
+      }
+    }
+  }
+
+  test("unequal row counts are rejected on both routes with key validation off") {
+    val (r, s) = (rel("k", Seq("a", "b"), 3), rel("m", Seq("a", "b"), 2))
+    onBothRoutes(validateKeys = false) { cfg =>
+      val e = intercept[IllegalArgumentException] { Rma.add(r, Seq("k"), s, Seq("m"), cfg) }
+      assert(e.getMessage.contains("add: row counts differ (3 vs 2)"))
+    }
+  }
+
+  test("two faults at once give the same first error on both routes, schema faults before any job") {
+    val r = rel("k", Seq("a", "b"), 3)
+    val cases = Seq(
+      ("overlapping order schemas and unequal widths", rel("k", Seq("a"), 3), "order schemas must not overlap"),
+      ("overlapping order schemas and unequal row counts", rel("k", Seq("a", "b"), 2),
+        "order schemas must not overlap"),
+      ("unequal widths and unequal row counts", rel("m", Seq("a"), 2),
+        "application schemas are not union compatible"))
+    for ((faults, s, expected) <- cases) withClue(s"$faults: ") {
+      onBothRoutes() { cfg =>
+        var e: IllegalArgumentException = null
+        val jobs = SparkJobs.count(spark) {
+          e = intercept[IllegalArgumentException] { Rma.add(r, Seq("k"), s, Seq(s.columns.head), cfg) }
+        }
+        assert(e.getMessage.contains(s"add: $expected"))
+        if (cfg.distributedElementwise) assert(jobs == 0, "Spark jobs before the schema checks")
+      }
+    }
+  }
+
+  test("the distributed add runs no more Spark jobs for its null and row-count checks") {
+    // Three partitions each, whatever the core count, so the job count is fixed.
+    val r = rel("k", Seq("a", "b"), 3).repartition(3).cache()
+    val s = rel("m", Seq("a", "b"), 3).repartition(3).cache()
+    r.count(); s.count()
+    try {
+      var sum: DataFrame = null
+      val jobs = SparkJobs.count(spark) { sum = Rma.add(r, Seq("k"), s, Seq("m")) }
+      assert(jobs == 14)
+      assert(sum.count() == 3)
+    } finally { r.unpersist(); s.unpersist() }
+  }
+}
