@@ -269,15 +269,18 @@ object Constructors {
   }
 
   /** Row count of `df`, from one aggregate that also rejects nulls in the
-    * application attributes `app`, like the matrix constructor. With
-    * `validateKeys`, a second job requires `key` to be a key.
+    * application attributes `app`, like the matrix constructor. Only the
+    * attributes the schema marks nullable are counted, so with none the
+    * aggregate is `df.count()`. With `validateKeys`, a second job requires
+    * `key` to be a key.
     */
   private def checkedCount(df: DataFrame, key: Seq[String], app: Seq[String],
                            validateKeys: Boolean): Long = {
-    val counts = df.agg(count(lit(1)), app.map(c => count(col(c))): _*).head()
+    val nullable = app.filter(c => df.schema(c).nullable)
+    val counts = df.agg(count(lit(1)), nullable.map(c => count(col(c))): _*).head()
     val total = counts.getLong(0)
-    app.indices.foreach(j =>
-      require(counts.getLong(j + 1) == total, s"null in application attribute ${app(j)}"))
+    nullable.indices.foreach(j =>
+      require(counts.getLong(j + 1) == total, s"null in application attribute ${nullable(j)}"))
     if (validateKeys) {
       val distinct = df.select(key.map(col): _*).distinct().count()
       require(total == distinct, s"order schema $key is not a key ($distinct distinct of $total rows)")
