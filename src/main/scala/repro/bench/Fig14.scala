@@ -54,8 +54,8 @@ object Fig14 {
     def matrices(rows: Long): (ColMatrix, ColMatrix, ColMatrix) = {
       val df1 = SynthData.wideRelation(spark, rows, cols, seed = 8, keyName = "k")
       val df2 = SynthData.wideRelation(spark, rows, cols, seed = 9, keyName = "k2")
-      val m1 = Constructors.collectSplit(df1, Seq("k"), validateKeys = false).matrix
-      val m2 = Constructors.collectSplit(df2, Seq("k2"), validateKeys = false).matrix
+      val m1 = Constructors.collectSplit(df1, Seq("k")).matrix
+      val m2 = Constructors.collectSplit(df2, Seq("k2")).matrix
       // MMU's second operand must be cols x cols.
       (m1, m2, new ColMatrix(Array.tabulate(cols)(j => m2.cols(j).take(cols)), cols))
     }
@@ -67,15 +67,19 @@ object Fig14 {
     rowsKs.flatMap { rk =>
       val (m1, m2, mSq) = matrices(rk * 1000L)
       ops.map { op =>
-        // min of 3 runs; share taken from the minimal (least-disturbed) run
+        // Median of the per-call shares of 7 calls: one pause moves one
+        // call's share, not the reported one.
         System.gc()
-        val (totalSec, convertSec) = (1 to 3).map(_ => runOp(op, m1, m2, mSq)).minBy(_._1)
-        val share = 100.0 * convertSec / totalSec
-        println(f"  [fig14] ${rk}K $op -> share=$share%.0f%% (total ${totalSec}%.2fs)")
+        val calls = (1 to 7).map(_ => runOp(op, m1, m2, mSq))
+        val share = median(calls.map { case (total, copy) => 100.0 * copy / total })
+        val totalSec = median(calls.map(_._1))
+        println(f"  [fig14] ${rk}K $op -> share=$share%.0f%% (median total ${totalSec}%.2fs)")
         Result(rk, op, share)
       }
     }
   }
+
+  private def median(xs: Seq[Double]): Double = xs.sorted.apply(xs.length / 2)
 
   def reportTable(results: Seq[Result]): String = {
     val header = Seq("#rows (50 cols)") ++ ops.flatMap(o => Seq(s"$o paper%", s"$o ours%"))

@@ -21,8 +21,7 @@ object Table4 {
 
   /** Run the sweep; returns (attrs, seconds) pairs. */
   def run(spark: SparkSession, attrs: Seq[Int] = paperAttrs, rows: Int = 1000): Seq[(Int, Double)] = {
-    val cfg = RmaConfig(backend = ColumnarBackend, distributedElementwise = false,
-      validateKeys = false)
+    val cfg = RmaConfig(backend = ColumnarBackend, distributedElementwise = false)
     attrs.map { k =>
       val r = SynthData.wideRelationRdd(spark, rows, k, seed = 1, keyName = "k")
       val s = SynthData.wideRelationRdd(spark, rows, k, seed = 2, keyName = "k2")

@@ -43,8 +43,8 @@ object Table6 {
           rowCounts: Seq[Long] = Seq(500000L, 1000000L, 2000000L),
           attrCounts: Seq[Int] = Seq(10, 40, 70),
           batMaxRows: Long = 500000L): Seq[Result] = {
-    val mkl = RmaConfig(backend = BreezeBackend, validateKeys = false)
-    val bat = RmaConfig(backend = ColumnarBackend, validateKeys = false)
+    val mkl = RmaConfig(backend = BreezeBackend)
+    val bat = RmaConfig(backend = ColumnarBackend)
     // JIT warmup of all three systems on a small instance, not reported.
     locally {
       val w = SynthData.wideRelation(spark, 50000L, 10, seed = 5, keyName = "k")

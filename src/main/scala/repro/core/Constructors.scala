@@ -47,11 +47,10 @@ object Constructors {
       matrix: ColMatrix) {
 
     /** Sorted key values stringified — the column cast ∇U (paper Eq. 2).
-      * Only defined for single-attribute order schemas.
+      * Only defined for single-attribute order schemas, which the op table
+      * requires of every op that casts ([[OpSpec]]).
       */
     def columnCast: Seq[String] = {
-      require(orderCols.length == 1,
-        s"column cast requires a single order attribute, got $orderCols")
       val toScala = CatalystTypeConverters.createToScalaConverter(orderFields.head.dataType)
       orderRows.map(r => String.valueOf(toScala(r(0)))).toSeq
     }
@@ -145,7 +144,7 @@ object Constructors {
     })
 
   // -------------------------------------------------------------------
-  // Relation constructors (merge step): schema-level only, values are
+  // Relation constructor (merge step): schema-level only, values are
   // whatever the caller assembled. Results are driver-local relations —
   // like result BATs in the MonetDB server.
   // -------------------------------------------------------------------
@@ -175,9 +174,10 @@ object Constructors {
     out
   }
 
-  /** γ(μ_U(r) □ base, U ∘ names): order part glued to the base result. For
-    * the (r*,c*) ops the order part is both inputs' order parts side by side,
-    * U ∘ V.
+  /** γ(μ_U(r) □ base, U ∘ names): order part glued to the base result, the
+    * relation constructor of every op on the collect path. For the (r*,c*)
+    * ops the order part is both inputs' order parts side by side, U ∘ V; for
+    * the (c1,·) and (1,1) ops it is a [[schemaCast]].
     */
   def withOrderPart(spark: SparkSession, orderFields: Seq[StructField],
                     orderRows: Array[Array[Any]], base: ColMatrix,
@@ -191,21 +191,20 @@ object Constructors {
     build(spark, schema, rows)
   }
 
-  /** γ(ΔŪ □ base, (C) ∘ names): the schema cast of the application schema as
-    * a new attribute C, glued to the base result — for ops whose row count is
-    * a column count of an input (tra, rqr, dsv, vsv, cpd, sol). The scalar ops
-    * det and rnk use it with the op name as the only C value and column name.
+  /** ΔŪ: the schema cast of `values` as an order part with the single
+    * attribute C — for ops whose row count is a column count of an input
+    * (tra, rqr, dsv, vsv, cpd, sol), and with the op name as the only value
+    * for the scalar ops det and rnk.
     */
+  private[core] def schemaCast(values: Seq[String]): (Seq[StructField], Array[Array[Any]]) =
+    (Seq(StructField("C", StringType, nullable = false)),
+      values.map(v => Array[Any](UTF8String.fromString(v))).toArray)
+
+  /** γ(ΔŪ □ base, (C) ∘ names): the schema cast glued to the base result. */
   def withSchemaCast(spark: SparkSession, cValues: Seq[String], base: ColMatrix,
                      appNames: Seq[String]): DataFrame = {
-    require(base.nRows == cValues.length,
-      s"base result rows (${base.nRows}) != schema cast length (${cValues.length})")
-    val schema = StructType(StructField("C", StringType, nullable = false) +:
-      appNames.map(StructField(_, DoubleType, nullable = false)))
-    val rows = (0 until base.nRows).map { i =>
-      rowOf(Array[Any](UTF8String.fromString(cValues(i))), boxedRow(base, i))
-    }
-    build(spark, schema, rows)
+    val (fields, rows) = schemaCast(cValues)
+    withOrderPart(spark, fields, rows, base, appNames)
   }
 
   // -------------------------------------------------------------------
@@ -236,23 +235,16 @@ object Constructors {
   }
 
   /** Distributed element-wise op: schema U ∘ V ∘ Ū like the collect path,
-    * but rows never leave the cluster. `op` names the operation in errors.
-    * The checks run in the collect path's order: both schema checks before
-    * any job, then one aggregate per input for its row count and nulls (and,
-    * with `validateKeys`, a distinct count for its key), then the row counts.
+    * but rows never leave the cluster. It checks nothing beyond the schemas:
+    * [[Rma.eval]] runs the op table's preconditions first, counting each
+    * input with [[checkedCount]], which also checks the keys, so
+    * `validateKeys` is not read here.
     */
   def elementwiseDistributed(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
                              combine: (Column, Column) => Column,
-                             validateKeys: Boolean, assumeSorted: Boolean,
-                             op: String = "element-wise op"): DataFrame = {
+                             validateKeys: Boolean, assumeSorted: Boolean): DataFrame = {
     val (ru, rApp) = resolveSchemas(r, u)
     val (sv, sApp) = resolveSchemas(s, v)
-    require(ru.intersect(sv).isEmpty,
-      s"$op: order schemas must not overlap (paper §4.2): ${ru.intersect(sv)}")
-    require(rApp.length == sApp.length,
-      s"$op: application schemas are not union compatible ($rApp vs $sApp)")
-    val (nr, ns) = (checkedCount(r, ru, rApp, validateKeys), checkedCount(s, sv, sApp, validateKeys))
-    require(nr == ns, s"$op: row counts differ ($nr vs $ns)")
     val rIdx = withGlobalRank(r, ru, assumeSorted).select(
       (col(IdxCol) +: (ru ++ rApp).map(c => col(c).as(s"__r_$c"))): _*)
     val sIdx = withGlobalRank(s, sv, assumeSorted).select(
@@ -274,8 +266,8 @@ object Constructors {
     * aggregate is `df.count()`. With `validateKeys`, a second job requires
     * `key` to be a key.
     */
-  private def checkedCount(df: DataFrame, key: Seq[String], app: Seq[String],
-                           validateKeys: Boolean): Long = {
+  private[core] def checkedCount(df: DataFrame, key: Seq[String], app: Seq[String],
+                                 validateKeys: Boolean): Long = {
     val nullable = app.filter(c => df.schema(c).nullable)
     val counts = df.agg(count(lit(1)), nullable.map(c => count(col(c))): _*).head()
     val total = counts.getLong(0)

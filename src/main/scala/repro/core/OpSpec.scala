@@ -2,14 +2,22 @@ package repro.core
 
 import org.apache.spark.sql.Column
 
-import repro.core.Constructors.SplitRelation
 import repro.matrix.{ColMatrix, MatrixBackend}
 
-/** A precondition on an op's split arguments. `why` explains a failure; the
+/** An op argument as its preconditions see it: the order and application
+  * schemas, known without a Spark job, and the row count, computed on first
+  * use (by the split on the collect route, by one aggregate on the
+  * distributed route).
+  */
+final class Arg(val orderCols: Seq[String], val appCols: Seq[String], count: => Long) {
+  lazy val nRows: Long = count
+  def nCols: Int = appCols.length
+}
+
+/** A precondition on an op's arguments. `why` explains a failure; the
   * evaluator prefixes it with the op name.
   */
-final case class Precondition(holds: Seq[SplitRelation] => Boolean,
-                              why: Seq[SplitRelation] => String)
+final case class Precondition(holds: Seq[Arg] => Boolean, why: Seq[Arg] => String)
 
 /** One row of the relational matrix algebra (paper Tables 1 and 2): an op is
   * a matrix kernel plus a shape type. The shape type alone fixes the
@@ -17,6 +25,8 @@ final case class Precondition(holds: Seq[SplitRelation] => Boolean,
   * evaluator [[Rma.eval]] derives the relation constructor from it.
   *
   * @param kernel  base result from the arguments' application parts
+  * @param preconditions the kernel's own conditions and those the shape
+  *                type implies, in the order they are checked
   * @param combine Catalyst column combiner of the distributed element-wise
   *                path (add, sub, emu only)
   */
@@ -37,32 +47,43 @@ final case class OpSpec(
 object OpSpec {
   import Dim._
 
-  private def nRows(a: SplitRelation) = a.matrix.nRows
-  private def nCols(a: SplitRelation) = a.matrix.nCols
-
-  private val square = Precondition(a => nRows(a(0)) == nCols(a(0)),
-    a => s"application part must be square, got ${nRows(a(0))}x${nCols(a(0))} " +
+  private val square = Precondition(a => a(0).nRows == a(0).nCols,
+    a => s"application part must be square, got ${a(0).nRows}x${a(0).nCols} " +
       s"(order schema ${a(0).orderCols}, application schema ${a(0).appCols})")
-  private val sameRows = Precondition(a => nRows(a(0)) == nRows(a(1)),
-    a => s"row counts differ (${nRows(a(0))} vs ${nRows(a(1))})")
-  private val sameWidth = Precondition(a => nCols(a(0)) == nCols(a(1)),
+  private val sameRows = Precondition(a => a(0).nRows == a(1).nRows,
+    a => s"row counts differ (${a(0).nRows} vs ${a(1).nRows})")
+  private val sameWidth = Precondition(a => a(0).nCols == a(1).nCols,
     a => s"application schemas are not union compatible (${a(0).appCols} vs ${a(1).appCols})")
-  private val innerDims = Precondition(a => nCols(a(0)) == nRows(a(1)),
-    a => s"|application schema of r| = ${nCols(a(0))} must equal |s| = ${nRows(a(1))}")
+  private val innerDims = Precondition(a => a(0).nCols == a(1).nRows,
+    a => s"|application schema of r| = ${a(0).nCols} must equal |s| = ${a(1).nRows}")
   private val disjointOrders = Precondition(a => a(0).orderCols.intersect(a(1).orderCols).isEmpty,
     a => s"order schemas must not overlap (paper §4.2): ${a(0).orderCols.intersect(a(1).orderCols)}")
+  private def singleKey(i: Int) = Precondition(a => a(i).orderCols.length == 1,
+    a => s"column cast requires a single order attribute, got ${a(i).orderCols}")
+
+  /** The conditions the shape type implies (paper Table 1) around the op's
+    * own: result columns named by key values (∇U, paper Eq. 2) need |U| = 1;
+    * (r*,c*) pairs both arguments row by row and column by column. Schema
+    * conditions come first, so they fail before any Spark job.
+    */
+  private def withShape(rows: Dim, cols: Dim, own: Seq[Precondition]): Seq[Precondition] = (rows, cols) match {
+    case (_, R1)        => singleKey(0) +: own
+    case (_, R2)        => singleKey(1) +: own
+    case (RStar, CStar) => Seq(disjointOrders, sameWidth) ++ own :+ sameRows
+    case _              => own
+  }
 
   private def unary(name: String, rows: Dim, cols: Dim, pre: Precondition*)(
       k: (MatrixBackend, ColMatrix) => ColMatrix): OpSpec =
-    OpSpec(name, 1, ShapeType(rows, cols), (b, m) => k(b, m(0)), pre)
+    OpSpec(name, 1, ShapeType(rows, cols), (b, m) => k(b, m(0)), withShape(rows, cols, pre))
 
   private def binary(name: String, rows: Dim, cols: Dim, pre: Precondition*)(
       k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): OpSpec =
-    OpSpec(name, 2, ShapeType(rows, cols), (b, m) => k(b, m(0), m(1)), pre)
+    OpSpec(name, 2, ShapeType(rows, cols), (b, m) => k(b, m(0), m(1)), withShape(rows, cols, pre))
 
   private def elementwise(name: String, combine: (Column, Column) => Column)(
       k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): OpSpec =
-    binary(name, RStar, CStar, disjointOrders, sameWidth, sameRows)(k).copy(combine = Some(combine))
+    binary(name, RStar, CStar)(k).copy(combine = Some(combine))
 
   private def scalar(v: Double): ColMatrix = ColMatrix.fromVector(Array(v))
 

@@ -49,12 +49,15 @@ object Rma {
 
   /** Evaluate `op` on its arguments, each a relation with its order schema.
     *
-    * add/sub/emu run on the distributed element-wise path when
-    * `cfg.distributedElementwise` is set. Every other call checks that a
-    * column cast has a single order attribute, splits each distinct argument
-    * once, checks the op's preconditions, runs its kernel on `cfg.backend`,
-    * and builds the result with the relation constructor that the op's shape
-    * type selects (paper Tables 2 and 3).
+    * Every call resolves the arguments' schemas and checks the op's
+    * preconditions in table order; a row count is computed on first use.
+    * add/sub/emu then run on the distributed element-wise path when
+    * `cfg.distributedElementwise` is set, where an aggregate per input gives
+    * its row count. Every other call splits each distinct argument once (the
+    * split gives the row count), runs the op's kernel on `cfg.backend`, and
+    * builds the result with the relation constructor that the op's shape
+    * type selects (paper Tables 2 and 3). A failed check, schema, key or
+    * null names the op: `requirement failed: <op>: <reason>`.
     */
   def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])],
            cfg: RmaConfig = RmaConfig.default): DataFrame = eval(op, args, cfg, new Splits(cfg))
@@ -63,24 +66,32 @@ object Rma {
   private[core] def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])], cfg: RmaConfig,
                          splits: Splits): DataFrame = {
     op.requireArity(args.length)
-    op.combine.filter(_ => cfg.distributedElementwise) match {
+    val distributed = op.combine.filter(_ => cfg.distributedElementwise)
+    val sp = named(op) {
+      val a = args.map { case (df, u) =>
+        val (order, app) = resolveSchemas(df, u)
+        new Arg(order, app,
+          if (distributed.isDefined) checkedCount(df, order, app, cfg.validateKeys) else splits(df, u).matrix.nRows)
+      }
+      op.preconditions.foreach(p => require(p.holds(a), p.why(a)))
+      if (distributed.isDefined) Nil else args.map { case (df, u) => splits(df, u) }
+    }
+    distributed match {
       case Some(combine) =>
         val Seq((r, u), (s, v)) = args
-        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted, op.name)
+        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
       case None =>
-        // Result columns named by key values (∇U, paper Eq. 2) need |U| = 1.
-        val castOrder = op.shape.cols match {
-          case R1 => Some(args(0)._2)
-          case R2 => Some(args(1)._2)
-          case _  => None
-        }
-        castOrder.foreach(u =>
-          require(u.length == 1, s"${op.name}: column cast requires a single order attribute, got $u"))
-        val sp = args.map { case (df, u) => splits(df, u) }
-        op.preconditions.foreach(p => require(p.holds(sp), s"${op.name}: ${p.why(sp)}"))
         relation(args.head._1.sparkSession, op, sp, op.kernel(cfg.backend, sp.map(_.matrix)))
     }
   }
+
+  /** Runs `body`, naming `op` in any argument error it raises. */
+  private def named[A](op: OpSpec)(body: => A): A =
+    try body catch {
+      case e: IllegalArgumentException =>
+        throw new IllegalArgumentException(
+          s"requirement failed: ${op.name}: ${e.getMessage.stripPrefix("requirement failed: ")}", e)
+    }
 
   /** The matrix constructor for the calls of one RMA expression: each
     * (relation, order schema) pair is split once, however often it occurs.
@@ -98,10 +109,12 @@ object Rma {
       }
   }
 
-  /** The relation constructor for the op's shape type. Rows: r1 keeps the
-    * order part of r, r* those of r and s, c1 gets the schema cast of r's
-    * application schema, 1 the op name. Columns: c1/c* keep r's application
-    * schema, c2 takes s's, r1/r2 are the column cast of r/s, 1 is the op name.
+  /** The relation constructor for the op's shape type: the rows dimension
+    * gives the order part (r1: r's, r*: r's and s's side by side, c1: the
+    * schema cast of r's application schema, 1: of the op name), the columns
+    * dimension the names of the base result's columns (c1/c*: r's
+    * application schema, c2: s's, r1/r2: the column cast of r/s, 1: the op
+    * name).
     */
   private def relation(spark: SparkSession, op: OpSpec, sp: Seq[SplitRelation],
                        base: ColMatrix): DataFrame = {
@@ -116,14 +129,14 @@ object Rma {
       case One        => Seq(op.name)
       case d          => none(d)
     }
-    op.shape.rows match {
-      case R1    => withOrderPart(spark, r.orderFields, r.orderRows, base, names)
-      case RStar => withOrderPart(spark, r.orderFields ++ s.orderFields,
-                      r.orderRows.zip(s.orderRows).map { case (a, b) => a ++ b }, base, names)
-      case C1    => withSchemaCast(spark, r.appCols, base, names)
-      case One   => withSchemaCast(spark, Seq(op.name), base, names)
+    val (fields, rows) = op.shape.rows match {
+      case R1    => (r.orderFields, r.orderRows)
+      case RStar => (r.orderFields ++ s.orderFields, r.orderRows.zip(s.orderRows).map { case (a, b) => a ++ b })
+      case C1    => schemaCast(r.appCols)
+      case One   => schemaCast(Seq(op.name))
       case d     => none(d)
     }
+    withOrderPart(spark, fields, rows, base, names)
   }
 
   /** Matrix inversion (shape (r1,c1)). */

@@ -16,11 +16,14 @@ class ElementwiseRoutesSpec extends RmaFixtures {
     }
 
   /** A relation with string key `key`, application attributes `app` and
-    * `n` rows.
+    * `n` rows; with `nulls` its second row's application values are null,
+    * with `dupKey` every row has the same key.
     */
-  private def rel(key: String, app: Seq[String], n: Int): DataFrame =
+  private def rel(key: String, app: Seq[String], n: Int, nulls: Boolean = false,
+                  dupKey: Boolean = false): DataFrame =
     makeDf((key -> StringType) +: app.map(_ -> DoubleType),
-      (1 to n).map(i => s"$key$i" +: app.indices.map(j => (10 * i + j).toDouble)))
+      (1 to n).map(i => s"$key${if (dupKey) 1 else i}" +:
+        app.indices.map(j => if (nulls && i == 2) null else (10 * i + j).toDouble)))
 
   test("a null in an application attribute is rejected on both routes") {
     val withNull = makeDf(Seq("k" -> StringType, "a" -> DoubleType, "b" -> DoubleType),
@@ -43,21 +46,48 @@ class ElementwiseRoutesSpec extends RmaFixtures {
   }
 
   test("two faults at once give the same first error on both routes, schema faults before any job") {
-    val r = rel("k", Seq("a", "b"), 3)
+    val r = cached(rel("k", Seq("a", "b"), 3))
     val cases = Seq(
       ("overlapping order schemas and unequal widths", rel("k", Seq("a"), 3), "order schemas must not overlap"),
       ("overlapping order schemas and unequal row counts", rel("k", Seq("a", "b"), 2),
         "order schemas must not overlap"),
       ("unequal widths and unequal row counts", rel("m", Seq("a"), 2),
+        "application schemas are not union compatible"),
+      ("overlapping order schemas and a null", rel("k", Seq("a", "b"), 3, nulls = true),
+        "order schemas must not overlap"),
+      ("overlapping order schemas and a duplicate key", rel("k", Seq("a", "b"), 3, dupKey = true),
+        "order schemas must not overlap"),
+      ("unequal widths and a null", rel("m", Seq("a"), 3, nulls = true),
+        "application schemas are not union compatible"),
+      ("unequal widths and a duplicate key", rel("m", Seq("a"), 3, dupKey = true),
         "application schemas are not union compatible"))
-    for ((faults, s, expected) <- cases) withClue(s"$faults: ") {
+    try for ((faults, s0, expected) <- cases) withClue(s"$faults: ") {
+      val s = cached(s0)
       onBothRoutes() { cfg =>
         var e: IllegalArgumentException = null
         val jobs = SparkJobs.count(spark) {
           e = intercept[IllegalArgumentException] { Rma.add(r, Seq("k"), s, Seq(s.columns.head), cfg) }
         }
         assert(e.getMessage.contains(s"add: $expected"))
-        if (cfg.distributedElementwise) assert(jobs == 0, "Spark jobs before the schema checks")
+        assert(jobs == 0, "Spark jobs before the schema checks")
+      }
+      s.unpersist()
+    } finally r.unpersist()
+  }
+
+  test("two faults in the data give the same first error on both routes, naming the op") {
+    val r = rel("k", Seq("a", "b"), 3)
+    val cases = Seq(
+      ("a null and a duplicate key", rel("m", Seq("a", "b"), 3, nulls = true, dupKey = true),
+        "null in application attribute a"),
+      ("a null and unequal row counts", rel("m", Seq("a", "b"), 2, nulls = true),
+        "null in application attribute a"),
+      ("a duplicate key and unequal row counts", rel("m", Seq("a", "b"), 2, dupKey = true),
+        "order schema List(m) is not a key"))
+    for ((faults, s, expected) <- cases) withClue(s"$faults: ") {
+      onBothRoutes() { cfg =>
+        val e = intercept[IllegalArgumentException] { Rma.add(r, Seq("k"), s, Seq("m"), cfg) }
+        assert(e.getMessage.startsWith(s"requirement failed: add: $expected"))
       }
     }
   }

@@ -2,6 +2,8 @@ package repro.core
 
 import scala.collection.mutable
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.repro.SparkJobs
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
 import repro.matrix.{ColMatrix, ColumnarBackend, MatrixBackend}
@@ -111,6 +113,46 @@ class ErrorsSpec extends RmaFixtures {
     val small = makeDf(Seq("m" -> StringType, "x" -> DoubleType), Seq(Seq("s1", 1.0)))
     val e = intercept[IllegalArgumentException] { Rma.cpd(weather, Seq("T"), small, Seq("m")) }
     assert(e.getMessage.contains("row counts differ"))
+  }
+
+  /** Two 2x2 relations `r` and `s`, valid arguments of every op, and `r`
+    * with a null; all cached, so that a split before the checks would show
+    * as a Spark job.
+    */
+  private def withCachedArgs(body: (DataFrame, DataFrame, DataFrame) => Unit): Unit = {
+    def rel(key: String, rows: Seq[Seq[Any]]) =
+      cached(makeDf(Seq(key -> StringType, "a" -> DoubleType, "b" -> DoubleType), rows))
+    val r = rel("k", Seq(Seq("r1", 4.0, 1.0), Seq("r2", 1.0, 3.0)))
+    val s = rel("m", Seq(Seq("s1", 2.0, -1.0), Seq("s2", 1.0, 2.0)))
+    val withNull = rel("k", Seq(Seq("r1", 4.0, 1.0), Seq("r2", null, 3.0)))
+    try body(r, s, withNull) finally Seq(r, s, withNull).foreach(_.unpersist())
+  }
+
+  test("a missing order attribute names the op and runs no Spark job, for every op and argument") {
+    withCachedArgs { (r, s, _) =>
+      for (op <- OpSpec.all; bad <- 0 until op.arity) withClue(s"${op.name}, argument $bad: ") {
+        val args = Seq(r -> Seq("k"), s -> Seq("m")).take(op.arity)
+        var e: IllegalArgumentException = null
+        val jobs = SparkJobs.count(spark) {
+          e = intercept[IllegalArgumentException] { Rma.eval(op, args.updated(bad, args(bad)._1 -> Seq("nope"))) }
+        }
+        assert(e.getMessage.startsWith(s"requirement failed: ${op.name}: "))
+        assert(e.getMessage.contains("order schema attributes List(nope) not in schema"))
+        assert(jobs == 0)
+      }
+    }
+  }
+
+  test("a null in a cached input names the op, for every op on both element-wise routes") {
+    withCachedArgs { (_, s, withNull) =>
+      for (op <- OpSpec.all; distributed <- Seq(true, false)) withClue(s"${op.name}, distributed = $distributed: ") {
+        val args = Seq(withNull -> Seq("k"), s -> Seq("m")).take(op.arity)
+        val e = intercept[IllegalArgumentException] {
+          Rma.eval(op, args, RmaConfig(distributedElementwise = distributed))
+        }
+        assert(e.getMessage.contains(s"${op.name}: null in application attribute a"))
+      }
+    }
   }
 
   /** The columnar kernels, counting calls per kernel. */

@@ -48,6 +48,9 @@ trait RmaFixtures extends SparkSpec {
       Seq(keyName -> StringType, "x" -> DoubleType, "y" -> DoubleType),
       rows.zipWithIndex.map { case ((a, b), i) => Seq(f"$prefix${i + 1}%02d", a, b) })
 
+  /** `df` cached and materialised, so that reading it again is a Spark job. */
+  def cached(df: DataFrame): DataFrame = { df.cache().count(); df }
+
   def collectMatrix(df: DataFrame, order: Seq[String]): ColMatrix =
     Constructors.collectSplit(df, order).matrix
 

@@ -189,6 +189,23 @@ class RmaSqlSpec extends RmaFixtures {
     }
   }
 
+  test("quotes and comments before FROM do not hide the RMA call") {
+    Rma.inv(spd, Seq("k")).createOrReplaceTempView("inv_spd")
+    try {
+      for (query <- Seq(
+          """SELECT k, "(" AS p FROM INV(spd BY k)""",
+          """SELECT k, "it's" AS p FROM INV(spd BY k)""",
+          """SELECT k, 'it\'s (' AS p FROM INV(spd BY k)""",
+          "SELECT k AS `a(b` FROM INV(spd BY k)",
+          "SELECT k AS `from` FROM INV(spd BY k)",
+          "SELECT k /* ( */ FROM INV(spd BY k)",
+          "SELECT k -- from\nFROM INV(spd BY k)")) withClue(s"$query: ") {
+        val plain = spark.sql(query.replace("INV(spd BY k)", "inv_spd"))
+        assertDfClose(RmaSql.sql(spark, query), plain.collect().map(_.toSeq).toSeq)
+      }
+    } finally spark.catalog.dropTempView("inv_spd")
+  }
+
   test("the operator API covers the whole operator table") {
     assert(api.keySet == OpSpec.all.map(_.name).toSet)
     assert(OpSpec.all.length == 19)
