@@ -20,25 +20,20 @@ object ArrayDb {
   /** Convert a keyed wide relation to array (coordinate) form: `(i, j, v)`
     * with `i` the rank of the key in sort order and `j` the application
     * column position. This is the array-database *storage format* — build it
-    * once (and cache), query many times.
+    * once (and cache), query many times. The rank step rejects nulls and
+    * duplicate keys, as RMA's element-wise path does.
     */
   def toCoord(df: DataFrame, order: Seq[String]): DataFrame = {
-    val (u, app) = Constructors.resolveSchemas(df, order)
-    val ranked = Constructors.withGlobalRank(df, u, assumeSorted = false)
-    ranked.select(
+    val ranked = new Constructors.Ranked(df, order)
+    ranked.rows.select(
       col(Constructors.IdxCol).as("i"),
-      posexplode(array(app.map(c => col(c).cast(DoubleType)): _*)).as(Seq("j", "v")))
+      posexplode(array(ranked.app.map(c => col(c).cast(DoubleType)): _*)).as(Seq("j", "v")))
   }
 
   /** Array addition via the array join on both dimensions. */
   def add(a: DataFrame, b: DataFrame): DataFrame =
     a.alias("a").join(b.alias("b"), Seq("i", "j"))
       .select(col("i"), col("j"), (col("a.v") + col("b.v")).as("v"))
-
-  /** Element-wise multiplication via the array join (for completeness). */
-  def emu(a: DataFrame, b: DataFrame): DataFrame =
-    a.alias("a").join(b.alias("b"), Seq("i", "j"))
-      .select(col("i"), col("j"), (col("a.v") * col("b.v")).as("v"))
 
   /** Value selection on an array (paper Table 7 runs add *followed by a
     * selection*).

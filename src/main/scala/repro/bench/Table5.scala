@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
-import repro.core.{Rma, RmaConfig}
+import repro.core.Rma
 
 /** Paper Table 5: `add` over sparse relations.
   *
@@ -29,7 +29,6 @@ object Table5 {
   }
 
   private def runOne(spark: SparkSession, rows: Long, pct: Int): Double = {
-    val cfg = RmaConfig(validateKeys = false)
     val frac = pct / 100.0
     val r = SynthData.wideRelation(spark, rows, 10, zeroFrac = frac, seed = 3, keyName = "k")
     val s = SynthData.wideRelation(spark, rows, 10, zeroFrac = frac, seed = 4, keyName = "k2")
@@ -38,7 +37,7 @@ object Table5 {
     System.gc()
     // min of 2 runs (paper averages 3; min is robust on a shared box)
     val sec = (1 to 2).map(_ =>
-      BenchUtil.time(BenchUtil.force(Rma.add(r, Seq("k"), s, Seq("k2"), cfg)))._2).min
+      BenchUtil.time(BenchUtil.force(Rma.add(r, Seq("k"), s, Seq("k2"))))._2).min
     r.unpersist(blocking = true); s.unpersist(blocking = true)
     sec
   }

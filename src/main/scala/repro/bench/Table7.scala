@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
 import repro.arraydb.ArrayDb
-import repro.core.{Rma, RmaConfig}
+import repro.core.Rma
 
 /** Paper Table 7: `add` followed by a selection — RMA+ vs SciDB.
   *
@@ -34,7 +34,6 @@ object Table7 {
   }
 
   private def runOne(spark: SparkSession, rows: Long): Result = {
-    val cfg = RmaConfig(validateKeys = false)
     val r = SynthData.wideRelation(spark, rows, 10, seed = 6, keyName = "k")
     val s = SynthData.wideRelation(spark, rows, 10, seed = 7, keyName = "k2")
     r.persist(); s.persist()
@@ -48,7 +47,7 @@ object Table7 {
     }
     // RMA+: relational add, then select on a result attribute.
     val rmaSec = min3 {
-      BenchUtil.force(Rma.add(r, Seq("k"), s, Seq("k2"), cfg).filter("a1 > 5000000"))
+      BenchUtil.force(Rma.add(r, Seq("k"), s, Seq("k2")).filter("a1 > 5000000"))
     }
     // SciDB analog: arrays are stored as coordinates; add = array join.
     val ra = ArrayDb.toCoord(r, Seq("k")).persist()

@@ -2,10 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.{Ascending, BaseOrdering, BoundReference, GenericInternalRow,
-  JoinedRow, RowOrdering, SortOrder}
-import org.apache.spark.sql.catalyst.expressions.codegen.GenerateOrdering
-import org.apache.spark.sql.functions.{col, count, lit}
+import org.apache.spark.sql.catalyst.expressions.{Ascending, BoundReference, GenericInternalRow, JoinedRow,
+  RowOrdering, SortOrder, UnsafeProjection}
+import org.apache.spark.sql.catalyst.expressions.codegen.LazilyGeneratedOrdering
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.repro.InternalDF
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
@@ -86,26 +86,25 @@ object Constructors {
 
   /** Matrix constructor μ̄_U(r) together with the order part μ_U(r):
     * collect U and the application part (cast to double) unsorted, sort the
-    * rows on the driver by U, and split them into order rows and columns.
+    * rows on the driver by U, check them with [[scan]], and split them into
+    * order rows and columns.
     *
     * A cached input costs one Spark job and no shuffle; a driver-local input
     * (a `LocalRelation`, such as a nested op's result) costs none. The sort
     * is Catalyst's ascending order, the one `df.sort(U)` uses: nulls first,
-    * NaN last, -0.0 equal to 0.0, strings in binary order. The key check
-    * compares adjacent rows with the same order. The `assumeSorted` flag is
-    * the paper's §8.1 optimisation that skips the sort for pre-sorted input.
+    * NaN last, -0.0 equal to 0.0, strings in binary order. `parallelSort`
+    * runs TimSort on its leaves, so pre-sorted input (the paper's §8.1 case)
+    * costs about one compare per row, which the key check pays anyway.
     */
-  def collectSplit(df: DataFrame, order: Seq[String],
-                   validateKeys: Boolean = true,
-                   assumeSorted: Boolean = false): SplitRelation = {
+  def collectSplit(df: DataFrame, order: Seq[String]): SplitRelation = {
     val (u, app) = resolveSchemas(df, order)
     val fields = u.map(c => df.schema(c))
     val rows = InternalDF.collectInternal(df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*))
-    val byKey = ascending(fields)
-    if (!assumeSorted) java.util.Arrays.parallelSort(rows, byKey)
+    val (byKey, uTypes) = (ascending(fields), fields.map(_.dataType))
+    java.util.Arrays.parallelSort(rows, byKey)
+    requireValid(Seq(scan(rows.iterator, byKey, uTypes, app.length)), u, app)
     val n = rows.length
     val k = app.length
-    val uTypes = fields.map(_.dataType)
     val orderRows = Array.ofDim[Array[Any]](n)
     val cols = Array.fill(k)(new Array[Double](n))
     var i = 0
@@ -116,32 +115,88 @@ object Constructors {
       while (j < u.length) { o(j) = r.get(j, uTypes(j)); j += 1 }
       orderRows(i) = o
       j = 0
-      while (j < k) {
-        require(!r.isNullAt(u.length + j), s"null in application attribute ${app(j)}")
-        cols(j)(i) = r.getDouble(u.length + j)
-        j += 1
-      }
+      while (j < k) { cols(j)(i) = r.getDouble(u.length + j); j += 1 }
       i += 1
-    }
-    if (validateKeys) {
-      var p = 1
-      while (p < n) {
-        require(byKey.compare(rows(p - 1), rows(p)) != 0,
-          s"order schema $u is not a key: duplicate value ${orderRows(p).mkString("(", ",", ")")}")
-        p += 1
-      }
     }
     SplitRelation(u, app, fields, orderRows, new ColMatrix(cols, n))
   }
 
-  /** Catalyst's ascending order on the leading `keys.length` fields of a row.
-    * Generated code with no mutable state, so the threads of a parallel sort
-    * may share it.
+  /** The signature perfbench's replay calls. It accepts only the values
+    * that replay passes, checked keys and a sort, which are now always on.
     */
-  private def ascending(keys: Seq[StructField]): BaseOrdering =
-    GenerateOrdering.generate(keys.zipWithIndex.map { case (f, i) =>
-      SortOrder(BoundReference(i, f.dataType, f.nullable), Ascending)
-    })
+  @deprecated("keys are always checked and inputs always sorted; use collectSplit(df, order)", "")
+  def collectSplit(df: DataFrame, order: Seq[String], validateKeys: Boolean, assumeSorted: Boolean): SplitRelation = {
+    require(validateKeys && !assumeSorted, "keys are always checked and inputs always sorted")
+    collectSplit(df, order)
+  }
+
+  /** Catalyst's ascending order on the leading `keys.length` fields of a row.
+    * Serialisable, so executors can scan with it; the generated code has no
+    * mutable state, so the threads of a parallel sort may share it.
+    */
+  private def ascending(keys: Seq[StructField]): LazilyGeneratedOrdering =
+    new LazilyGeneratedOrdering(keys.indices.map(i =>
+      SortOrder(BoundReference(i, keys(i).dataType, keys(i).nullable), Ascending)))
+
+  /** What one pass over a sorted run of rows finds.
+    *
+    * @param rows      the row count
+    * @param firstNull the application attribute (by position) of the first
+    *                  null: in the first row that has one, or, among rows with
+    *                  that row's key, the first such attribute in schema order
+    * @param firstDup  the first key equal to its predecessor, as Catalyst values
+    */
+  private[core] final case class Scan(rows: Long, firstNull: Option[Int], firstDup: Option[Seq[Any]])
+
+  /** One pass over `rows`, sorted by `byKey`: each row holds the key fields
+    * of U (types `keyTypes`), then `nApp` application values. Adjacent rows
+    * decide key uniqueness. Rows may be buffers the iterator reuses, so the
+    * scan copies only what it keeps: the previous key and the faults.
+    */
+  private[core] def scan(rows: Iterator[InternalRow], byKey: Ordering[InternalRow],
+                         keyTypes: Seq[DataType], nApp: Int): Scan = {
+    val nKey = keyTypes.length
+    // Keys are written to the two projections' buffers in turn, so the
+    // previous key stays intact while the next one is written.
+    val keyOf = Array.fill(2)(
+      UnsafeProjection.create(keyTypes.indices.map(j => BoundReference(j, keyTypes(j), nullable = true))))
+    def copied(key: InternalRow): Seq[Any] = keyTypes.indices.map(j => InternalRow.copyValue(key.get(j, keyTypes(j))))
+    var n = 0L
+    var prev: InternalRow = null
+    var firstNull = -1
+    var inNullKey = false // the row's key is the first null's key
+    var firstDup: Option[Seq[Any]] = None
+    while (rows.hasNext) {
+      val r = rows.next()
+      val key = keyOf((n & 1).toInt)(r)
+      val same = prev != null && byKey.compare(prev, key) == 0
+      if (same && firstDup.isEmpty) firstDup = Some(copied(key))
+      inNullKey &&= same
+      var j = 0
+      while (j < nApp && !r.isNullAt(nKey + j)) j += 1
+      if (j < nApp && (firstNull < 0 || inNullKey && j < firstNull)) { firstNull = j; inNullKey = true }
+      prev = key
+      n += 1
+    }
+    Scan(n, Some(firstNull).filter(_ >= 0), firstDup)
+  }
+
+  /** Raises the first fault of a sorted run scanned in consecutive pieces:
+    * any null before any duplicate key, each the first in sort order. Keys
+    * that compare equal print alike (-0.0 as 0.0), whichever of them the
+    * sort put second.
+    */
+  private def requireValid(scans: Seq[Scan], u: Seq[String], app: Seq[String]): Unit = {
+    val firstNull = scans.iterator.flatMap(_.firstNull).nextOption()
+    require(firstNull.isEmpty, s"null in application attribute ${app(firstNull.get)}")
+    val firstDup = scans.iterator.flatMap(_.firstDup).nextOption()
+    require(firstDup.isEmpty, s"order schema $u is not a key: duplicate value " +
+      firstDup.get.map {
+        case d: Double if d == 0.0 => 0.0
+        case f: Float if f == 0.0f => 0.0f
+        case v => v
+      }.mkString("(", ",", ")"))
+  }
 
   // -------------------------------------------------------------------
   // Relation constructor (merge step): schema-level only, values are
@@ -218,65 +273,75 @@ object Constructors {
     */
   val IdxCol = "__rma_idx"
 
-  /** Attach a global 0-based rank following the sort order of `order`.
-    * `df.sort` range-partitions, so partition index + intra-partition
-    * position is the global order; `zipWithIndex` materialises it without a
-    * single-partition window. Stays on InternalRow — the analog of MonetDB's
-    * cheap OID alignment (leftfetchjoin).
+  /** An input of the distributed element-wise path: its order and
+    * application attributes sorted by U and ranked 0, 1, … in that order
+    * (≙ the OID order after leftfetchjoin). Building one runs no Spark job.
+    * The first use of [[nRows]] or [[rows]] sorts the input (`df.sort`
+    * samples the keys for its range partitioning) and runs one job that
+    * [[scan]]s every sorted partition. That job raises the first null or
+    * duplicate key, in sort order, and its per-partition counts give each
+    * partition's first rank. Range partitioning sends keys that compare
+    * equal to one partition, so adjacent rows within a partition decide
+    * uniqueness. [[rows]] ranks the same RDD, so it reuses the sort's
+    * shuffle output.
     */
-  def withGlobalRank(df: DataFrame, order: Seq[String], assumeSorted: Boolean): DataFrame = {
-    val sorted = if (assumeSorted) df else df.sort(order.map(col): _*)
-    val schema = sorted.schema.add(IdxCol, LongType, nullable = false)
-    val rdd = InternalDF.toInternalRdd(sorted).zipWithIndex().map { case (r, i) =>
-      // copy() detaches from the operator's reused row buffer
-      new JoinedRow(r.copy(), new GenericInternalRow(Array[Any](i))): InternalRow
+  final class Ranked(df: DataFrame, order: Seq[String]) {
+    val (u, app) = resolveSchemas(df, order)
+    private val sortedDf = df.select((u ++ app).map(col): _*).sort(u.map(col): _*)
+    private lazy val sorted = InternalDF.toInternalRdd(sortedDf)
+    private lazy val offsets: Array[Long] = {
+      val keys = u.map(sortedDf.schema(_))
+      val (byKey, keyTypes, nApp) = (ascending(keys), keys.map(_.dataType), app.length)
+      val scans = sorted.mapPartitions(it => Iterator(scan(it, byKey, keyTypes, nApp))).collect()
+      requireValid(scans.toSeq, u, app)
+      scans.scanLeft(0L)(_ + _.rows)
     }
-    InternalDF.create(sorted.sparkSession, rdd, schema)
+
+    def nRows: Long = offsets.last
+
+    /** U, the application attributes (not null, as the scan found) and the
+      * rank [[IdxCol]].
+      */
+    def rows: DataFrame = {
+      val first = offsets
+      val ranked = sorted.mapPartitionsWithIndex { (p, it) =>
+        var i = first(p) - 1
+        it.map { r => i += 1; new JoinedRow(r, new GenericInternalRow(Array[Any](i))): InternalRow }
+      }
+      val (keys, values) = sortedDf.schema.splitAt(u.length)
+      InternalDF.create(df.sparkSession, ranked,
+        StructType(keys ++ values.map(_.copy(nullable = false))).add(IdxCol, LongType, nullable = false))
+    }
   }
 
   /** Distributed element-wise op: schema U ∘ V ∘ Ū like the collect path,
-    * but rows never leave the cluster. It checks nothing beyond the schemas:
-    * [[Rma.eval]] runs the op table's preconditions first, counting each
-    * input with [[checkedCount]], which also checks the keys, so
-    * `validateKeys` is not read here.
+    * but rows never leave the cluster: the inputs are joined on their rank.
+    * It checks nothing beyond the result's names: [[Rma.eval]] runs the op
+    * table's preconditions first, reading each input's [[Ranked.nRows]].
     */
-  def elementwiseDistributed(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-                             combine: (Column, Column) => Column,
-                             validateKeys: Boolean, assumeSorted: Boolean): DataFrame = {
-    val (ru, rApp) = resolveSchemas(r, u)
-    val (sv, sApp) = resolveSchemas(s, v)
-    val rIdx = withGlobalRank(r, ru, assumeSorted).select(
-      (col(IdxCol) +: (ru ++ rApp).map(c => col(c).as(s"__r_$c"))): _*)
-    val sIdx = withGlobalRank(s, sv, assumeSorted).select(
-      (col(IdxCol) +: (sv ++ sApp).map(c => col(c).as(s"__s_$c"))): _*)
+  def elementwiseDistributed(r: Ranked, s: Ranked, combine: (Column, Column) => Column): DataFrame = {
+    val rIdx = r.rows.select((col(IdxCol) +: (r.u ++ r.app).map(c => col(c).as(s"__r_$c"))): _*)
+    val sIdx = s.rows.select((col(IdxCol) +: (s.u ++ s.app).map(c => col(c).as(s"__s_$c"))): _*)
     val joined = rIdx.join(sIdx, IdxCol)
     val outCols =
-      ru.map(c => col(s"__r_$c").as(c)) ++
-      sv.map(c => col(s"__s_$c").as(c)) ++
-      rApp.zip(sApp).map { case (a, b) =>
+      r.u.map(c => col(s"__r_$c").as(c)) ++
+      s.u.map(c => col(s"__s_$c").as(c)) ++
+      r.app.zip(s.app).map { case (a, b) =>
         combine(col(s"__r_$a").cast(DoubleType), col(s"__s_$b").cast(DoubleType)).as(a)
       }
-    requireDistinctNames(ru ++ sv ++ rApp)
+    requireDistinctNames(r.u ++ s.u ++ r.app)
     joined.select(outCols: _*)
   }
 
-  /** Row count of `df`, from one aggregate that also rejects nulls in the
-    * application attributes `app`, like the matrix constructor. Only the
-    * attributes the schema marks nullable are counted, so with none the
-    * aggregate is `df.count()`. With `validateKeys`, a second job requires
-    * `key` to be a key.
+  /** The signature perfbench's replay calls. It accepts only the values
+    * that replay passes, checked keys and a sort, which are now always on;
+    * the rank step of each input checks its nulls and keys.
     */
-  private[core] def checkedCount(df: DataFrame, key: Seq[String], app: Seq[String],
-                                 validateKeys: Boolean): Long = {
-    val nullable = app.filter(c => df.schema(c).nullable)
-    val counts = df.agg(count(lit(1)), nullable.map(c => count(col(c))): _*).head()
-    val total = counts.getLong(0)
-    nullable.indices.foreach(j =>
-      require(counts.getLong(j + 1) == total, s"null in application attribute ${nullable(j)}"))
-    if (validateKeys) {
-      val distinct = df.select(key.map(col): _*).distinct().count()
-      require(total == distinct, s"order schema $key is not a key ($distinct distinct of $total rows)")
-    }
-    total
+  @deprecated("keys are always checked and inputs always sorted; use elementwiseDistributed(Ranked, Ranked, …)", "")
+  def elementwiseDistributed(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
+                             combine: (Column, Column) => Column,
+                             validateKeys: Boolean, assumeSorted: Boolean): DataFrame = {
+    require(validateKeys && !assumeSorted, "keys are always checked and inputs always sorted")
+    elementwiseDistributed(new Ranked(r, u), new Ranked(s, v), combine)
   }
 }

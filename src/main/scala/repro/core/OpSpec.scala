@@ -6,8 +6,8 @@ import repro.matrix.{ColMatrix, MatrixBackend}
 
 /** An op argument as its preconditions see it: the order and application
   * schemas, known without a Spark job, and the row count, computed on first
-  * use (by the split on the collect route, by one aggregate on the
-  * distributed route).
+  * use (by the split on the collect route, by the rank step on the
+  * distributed route; both also reject nulls and duplicate keys).
   */
 final class Arg(val orderCols: Seq[String], val appCols: Seq[String], count: => Long) {
   lazy val nRows: Long = count

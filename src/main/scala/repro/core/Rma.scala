@@ -5,7 +5,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Constructors.SplitRelation
 import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, MatrixBackend}
 
-/** Execution configuration for relational matrix operations.
+/** Execution configuration for relational matrix operations. Order schemas
+  * are always checked to be keys, and inputs are always sorted.
   *
   * @param backend physical kernel backend for base results. [[BreezeBackend]]
   *                is the RMA+MKL analog (copy + library call),
@@ -15,17 +16,19 @@ import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, MatrixBackend}
   *                Catalyst (sort → global rank → rank join → column
   *                arithmetic), the analog of MonetDB executing linear ops
   *                directly on BATs. When false they use the collect path.
-  * @param validateKeys check that order schemas are keys (paper §4 requires
-  *                it; benches may switch the check off, like any DBMS
-  *                trusting declared keys).
-  * @param assumeSorted skip sorting — the paper's §8.1 optimisation for
-  *                pre-sorted input.
   */
 final case class RmaConfig(
     backend: MatrixBackend = BreezeBackend,
-    distributedElementwise: Boolean = true,
-    validateKeys: Boolean = true,
-    assumeSorted: Boolean = false)
+    distributedElementwise: Boolean = true) {
+
+  /** Read by perfbench's run record; keys are always checked. */
+  @deprecated("order schemas are always checked to be keys", "")
+  def validateKeys: Boolean = true
+
+  /** Read by perfbench's run record; inputs are always sorted. */
+  @deprecated("inputs are always sorted", "")
+  def assumeSorted: Boolean = false
+}
 
 object RmaConfig {
   val default: RmaConfig = RmaConfig()
@@ -50,9 +53,10 @@ object Rma {
   /** Evaluate `op` on its arguments, each a relation with its order schema.
     *
     * Every call resolves the arguments' schemas and checks the op's
-    * preconditions in table order; a row count is computed on first use.
+    * preconditions in table order; a row count is computed on first use,
+    * by the sorted scan that also rejects nulls and duplicate keys.
     * add/sub/emu then run on the distributed element-wise path when
-    * `cfg.distributedElementwise` is set, where an aggregate per input gives
+    * `cfg.distributedElementwise` is set, where each input's rank step gives
     * its row count. Every other call splits each distinct argument once (the
     * split gives the row count), runs the op's kernel on `cfg.backend`, and
     * builds the result with the relation constructor that the op's shape
@@ -60,27 +64,29 @@ object Rma {
     * null names the op: `requirement failed: <op>: <reason>`.
     */
   def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])],
-           cfg: RmaConfig = RmaConfig.default): DataFrame = eval(op, args, cfg, new Splits(cfg))
+           cfg: RmaConfig = RmaConfig.default): DataFrame = eval(op, args, cfg, new Splits)
 
   /** [[eval]] with splits shared across the calls of one RMA expression. */
   private[core] def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])], cfg: RmaConfig,
                          splits: Splits): DataFrame = {
     op.requireArity(args.length)
-    val distributed = op.combine.filter(_ => cfg.distributedElementwise)
-    val sp = named(op) {
-      val a = args.map { case (df, u) =>
-        val (order, app) = resolveSchemas(df, u)
-        new Arg(order, app,
-          if (distributed.isDefined) checkedCount(df, order, app, cfg.validateKeys) else splits(df, u).matrix.nRows)
-      }
-      op.preconditions.foreach(p => require(p.holds(a), p.why(a)))
-      if (distributed.isDefined) Nil else args.map { case (df, u) => splits(df, u) }
-    }
-    distributed match {
+    def check(a: Seq[Arg]): Unit = op.preconditions.foreach(p => require(p.holds(a), p.why(a)))
+    op.combine.filter(_ => cfg.distributedElementwise) match {
       case Some(combine) =>
-        val Seq((r, u), (s, v)) = args
-        elementwiseDistributed(r, u, s, v, combine, cfg.validateKeys, cfg.assumeSorted)
+        val Seq(r, s) = named(op) {
+          val ranked = args.map { case (df, u) => new Ranked(df, u) }
+          check(ranked.map(x => new Arg(x.u, x.app, x.nRows)))
+          ranked
+        }
+        elementwiseDistributed(r, s, combine)
       case None =>
+        val sp = named(op) {
+          check(args.map { case (df, u) =>
+            val (order, app) = resolveSchemas(df, u)
+            new Arg(order, app, splits(df, u).matrix.nRows)
+          })
+          args.map { case (df, u) => splits(df, u) }
+        }
         relation(args.head._1.sparkSession, op, sp, op.kernel(cfg.backend, sp.map(_.matrix)))
     }
   }
@@ -98,12 +104,12 @@ object Rma {
     * Relations are told apart by reference. Sharing a split is safe because
     * no kernel mutates its input matrices.
     */
-  private[core] final class Splits(cfg: RmaConfig) {
+  private[core] final class Splits {
     private val done = scala.collection.mutable.ArrayBuffer.empty[(DataFrame, Seq[String], SplitRelation)]
 
     def apply(df: DataFrame, u: Seq[String]): SplitRelation =
       done.collectFirst { case (d, v, sp) if (d eq df) && v == u => sp }.getOrElse {
-        val sp = collectSplit(df, u, cfg.validateKeys, cfg.assumeSorted)
+        val sp = collectSplit(df, u)
         done += ((df, u, sp))
         sp
       }

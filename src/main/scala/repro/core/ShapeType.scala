@@ -21,16 +21,3 @@ object Dim {
 }
 
 final case class ShapeType(rows: Dim, cols: Dim)
-
-object ShapeType {
-  import Dim._
-
-  /** Paper Table 1, read off the operator table [[OpSpec.all]]. */
-  lazy val ofOp: Map[String, ShapeType] = OpSpec.all.map(o => o.name -> o.shape).toMap
-
-  /** Ops whose result keeps the row origin of an input (row count preserved). */
-  def preservesRowContext(op: String): Boolean = ofOp(op).rows match {
-    case R1 | R2 | RStar => true
-    case _               => false
-  }
-}

@@ -50,19 +50,6 @@ final class ColMatrix(val cols: Array[Array[Double]], rows0: Int = -1) {
     new ColMatrix(out, nCols)
   }
 
-  /** Row-major nested-array view (used when building result relations). */
-  def toRowArrays: Array[Array[Double]] = {
-    val out = Array.fill(nRows)(new Array[Double](nCols))
-    var j = 0
-    while (j < nCols) {
-      val c = cols(j)
-      var i = 0
-      while (i < nRows) { out(i)(j) = c(i); i += 1 }
-      j += 1
-    }
-    out
-  }
-
   /** Max |a(i,j) - b(i,j)|; infinity on shape mismatch. */
   def maxAbsDiff(other: ColMatrix): Double =
     if (nRows != other.nRows || nCols != other.nCols) Double.PositiveInfinity

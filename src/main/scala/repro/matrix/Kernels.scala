@@ -286,7 +286,7 @@ object Kernels {
   def det(a: ColMatrix): Double = {
     val n = a.nRows
     require(a.nCols == n, s"det: matrix must be square, got ${n}x${a.nCols}")
-    val m = a.toRowArrays
+    val m = a.transpose.cols // row-major: m(i) is row i
     var d = 1.0
     var i = 0
     while (i < n) {
@@ -327,8 +327,8 @@ object Kernels {
     val n = a.nRows
     require(a.nCols == n, s"eig: matrix must be square, got ${n}x${a.nCols}")
     require(isSymmetric(a), "eig: only symmetric matrices are supported (see DESIGN.md)")
-    val m = a.toRowArrays
-    val v = ColMatrix.identity(n).toRowArrays
+    val m = a.transpose.cols // row-major: m(i) is row i
+    val v = ColMatrix.identity(n).transpose.cols
     val maxSweeps = 64
     var sweep = 0
     var off = offDiagNorm(m)

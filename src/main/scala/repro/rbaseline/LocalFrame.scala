@@ -6,12 +6,12 @@ import repro.matrix.ColMatrix
 
 /** R-analog data frame: a single-threaded, in-memory, row-store table.
   *
-  * The paper's R competitor (§8) performs relational operations on
-  * `data.table`s — single-threaded joins and aggregations — and must convert
-  * frames to the `matrix` type before complex linear algebra. This substrate
-  * reproduces those two properties: every operation below runs on one thread
-  * over local rows, and [[toColMatrix]] is the explicit frame→matrix copy
-  * whose cost the paper measures (Figure 14a).
+  * The paper's R competitor (§8) holds relations in single-threaded
+  * `data.table`s and must convert frames to the `matrix` type before complex
+  * linear algebra. This substrate reproduces those two properties for the
+  * `qqr` of Table 6: every operation below runs on one thread over local
+  * rows, and [[toColMatrix]] is the explicit frame→matrix copy whose cost
+  * the paper measures (Figure 14a).
   */
 final case class LocalFrame(names: Vector[String], rows: Vector[Array[Any]]) {
 
@@ -27,51 +27,6 @@ final case class LocalFrame(names: Vector[String], rows: Vector[Array[Any]]) {
   def select(cols: Seq[String]): LocalFrame = {
     val is = cols.map(idx)
     LocalFrame(cols.toVector, rows.map(r => is.map(r).toArray))
-  }
-
-  /** Row filter on a single column. */
-  def filter(c: String, p: Any => Boolean): LocalFrame = {
-    val i = idx(c)
-    LocalFrame(names, rows.filter(r => p(r(i))))
-  }
-
-  /** Single-threaded hash join (inner, equi-join on one column per side). */
-  def join(other: LocalFrame, leftKey: String, rightKey: String): LocalFrame = {
-    val li = idx(leftKey); val ri = other.idx(rightKey)
-    val index = other.rows.groupBy(_(ri))
-    val outNames = names ++ other.names.filterNot(_ == rightKey)
-    val keep = other.names.zipWithIndex.filterNot(_._1 == rightKey).map(_._2)
-    val out = rows.flatMap { l =>
-      index.getOrElse(l(li), Vector.empty).map { r =>
-        l ++ keep.map(r)
-      }
-    }
-    LocalFrame(outNames, out)
-  }
-
-  /** Single-threaded group-by aggregation. Supported functions: sum, count,
-    * avg, min, max over numeric columns. `aggs` maps (inputCol, func) ->
-    * output column name; use inputCol = "*" with count.
-    */
-  def aggregate(keys: Seq[String], aggs: Seq[(String, String, String)]): LocalFrame = {
-    val ki = keys.map(idx)
-    val grouped = rows.groupBy(r => ki.map(r).toVector)
-    val outNames = keys.toVector ++ aggs.map(_._3)
-    val out = grouped.toVector.map { case (k, rs) =>
-      val vals = aggs.map { case (c, f, _) =>
-        def nums = { val i = idx(c); rs.map(r => asDouble(r(i))) }
-        (f match {
-          case "count" => rs.length.toDouble
-          case "sum"   => nums.sum
-          case "avg"   => nums.sum / rs.length
-          case "min"   => nums.min
-          case "max"   => nums.max
-          case other   => throw new IllegalArgumentException(s"unknown aggregate '$other'")
-        }): Any
-      }
-      (k ++ vals).toArray
-    }
-    LocalFrame(outNames, out)
   }
 
   /** Sort ascending by the given columns (R's `setkey`/`order`). */

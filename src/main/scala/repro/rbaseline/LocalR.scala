@@ -1,6 +1,6 @@
 package repro.rbaseline
 
-import repro.matrix.{ColMatrix, Kernels}
+import repro.matrix.Kernels
 
 /** R-analog matrix operations: single-threaded kernels applied after an
   * explicit frame→matrix conversion, with both phases timed separately so
@@ -33,40 +33,5 @@ object LocalR {
     val out = LocalFrame((orderCol +: appCols).toVector, outRows)
     val t3 = now()
     Timed(out, (t1 - t0 + (t3 - t2)) / 1e9, (t2 - t1) / 1e9)
-  }
-
-  /** Covariance matrix via crossprod of the centered matrix — the paper's
-    * workload (3) formulation (`crossproduct` in R).
-    */
-  def covariance(frame: LocalFrame, appCols: Seq[String]): Timed[ColMatrix] = {
-    val t0 = now()
-    val m = frame.toColMatrix(appCols)
-    val t1 = now()
-    val n = m.nRows
-    val centered = {
-      val out = m.copy()
-      var j = 0
-      while (j < out.nCols) {
-        val c = out.cols(j)
-        var s = 0.0
-        var i = 0
-        while (i < n) { s += c(i); i += 1 }
-        val mean = s / n
-        i = 0
-        while (i < n) { c(i) -= mean; i += 1 }
-        j += 1
-      }
-      out
-    }
-    val cov = Kernels.cpd(centered, centered)
-    var j = 0
-    while (j < cov.nCols) {
-      val c = cov.cols(j)
-      var i = 0
-      while (i < c.length) { c(i) /= (n - 1).toDouble; i += 1 }
-      j += 1
-    }
-    val t2 = now()
-    Timed(cov, (t1 - t0) / 1e9, (t2 - t1) / 1e9)
   }
 }

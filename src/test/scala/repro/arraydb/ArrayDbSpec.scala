@@ -1,7 +1,6 @@
 package repro.arraydb
 
 import repro.core.{Rma, RmaConfig, RmaFixtures}
-import repro.matrix.Kernels
 
 /** The SciDB-analog coordinate array engine must agree with RMA on the
   * operations it implements — it is a competitor, not a different semantics.
@@ -30,12 +29,6 @@ class ArrayDbSpec extends RmaFixtures {
     val rmaSum = collectMatrix(
       Rma.add(r, Seq("k"), s, Seq("k2"), RmaConfig()).select("k", "x", "y"), Seq("k"))
     assertClose(m, rmaSum, 1e-12)
-  }
-
-  test("array-join emu equals the kernel emu") {
-    val prod = ArrayDb.emu(ArrayDb.toCoord(r, Seq("k")), ArrayDb.toCoord(s, Seq("k2")))
-    val m = ArrayDb.toColMatrix(prod)
-    assertClose(m, Kernels.emu(collectMatrix(r, Seq("k")), collectMatrix(s, Seq("k2"))), 1e-12)
   }
 
   test("selection filters cells by value") {

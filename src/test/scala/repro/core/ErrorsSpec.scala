@@ -54,13 +54,6 @@ class ErrorsSpec extends RmaFixtures {
     assert(e.getMessage.contains("not a key"))
   }
 
-  test("key validation can be disabled") {
-    val dup = makeDf(Seq("k" -> StringType, "v" -> DoubleType),
-      Seq(Seq("r1", 1.0), Seq("r1", 2.0)))
-    // no exception; result is well-defined up to the tie order
-    assert(Rma.qqr(dup, Seq("k"), RmaConfig(validateKeys = false)).count() == 2)
-  }
-
   test("element-wise ops require equal cardinalities") {
     val small = makeDf(Seq("m" -> StringType, "h" -> DoubleType, "w" -> DoubleType),
       Seq(Seq("s1", 1.0, 2.0)))

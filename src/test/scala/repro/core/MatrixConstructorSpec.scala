@@ -66,17 +66,15 @@ class MatrixConstructorSpec extends RmaFixtures {
       try {
         val expected = sortedBySpark(df, u)
         val types = u.map(c => df.schema(c).dataType)
-        for (validateKeys <- Seq(true, false)) withClue(s"validateKeys = $validateKeys: ") {
-          var sp: Constructors.SplitRelation = null
-          val jobs = SparkJobs.count(spark) { sp = Constructors.collectSplit(df, u, validateKeys) }
-          assert(jobs == (if (local) 0 else 1))
-          assert(sp.orderRows.length == expected.length)
-          expected.zipWithIndex.foreach { case (row, i) =>
-            val order = types.indices.map(j => bits(row.get(j, types(j))))
-            assert(sp.orderRows(i).toSeq.map(bits) == order, s"order part, row $i")
-            val app = (0 until sp.matrix.nCols).map(j => bits(row.getDouble(u.length + j)))
-            assert(sp.matrix.row(i).toSeq.map(bits) == app, s"application part, row $i")
-          }
+        var sp: Constructors.SplitRelation = null
+        val jobs = SparkJobs.count(spark) { sp = Constructors.collectSplit(df, u) }
+        assert(jobs == (if (local) 0 else 1))
+        assert(sp.orderRows.length == expected.length)
+        expected.zipWithIndex.foreach { case (row, i) =>
+          val order = types.indices.map(j => bits(row.get(j, types(j))))
+          assert(sp.orderRows(i).toSeq.map(bits) == order, s"order part, row $i")
+          val app = (0 until sp.matrix.nCols).map(j => bits(row.getDouble(u.length + j)))
+          assert(sp.matrix.row(i).toSeq.map(bits) == app, s"application part, row $i")
         }
       } finally df.unpersist()
     }
@@ -84,16 +82,12 @@ class MatrixConstructorSpec extends RmaFixtures {
 
   test("an order attribute Spark cannot sort fails before any job runs") {
     val df = spark.range(3).select(map(lit("a"), col("id")).as("m"), col("id").cast("double").as("v"))
-    for (assumeSorted <- Seq(false, true)) withClue(s"assumeSorted = $assumeSorted: ") {
-      var e: IllegalArgumentException = null
-      val jobs = SparkJobs.count(spark) {
-        e = intercept[IllegalArgumentException] {
-          Constructors.collectSplit(df, Seq("m"), assumeSorted = assumeSorted)
-        }
-      }
-      assert(jobs == 0)
-      assert(e.getMessage.contains("cannot be sorted"))
+    var e: IllegalArgumentException = null
+    val jobs = SparkJobs.count(spark) {
+      e = intercept[IllegalArgumentException] { Constructors.collectSplit(df, Seq("m")) }
     }
+    assert(jobs == 0)
+    assert(e.getMessage.contains("cannot be sorted"))
   }
 
   test("duplicate keys under Spark's key equality are rejected: NaN = NaN, -0.0 = 0.0") {

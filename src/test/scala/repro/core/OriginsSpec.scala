@@ -82,21 +82,25 @@ class OriginsSpec extends RmaFixtures {
 
   test("ShapeType table matches paper Table 1") {
     import Dim._
-    assert(ShapeType.ofOp("mmu") == ShapeType(R1, C2))
-    assert(ShapeType.ofOp("tra") == ShapeType(C1, R1))
-    assert(ShapeType.ofOp("add") == ShapeType(RStar, CStar))
-    assert(ShapeType.ofOp("det") == ShapeType(One, One))
-    assert(ShapeType.ofOp("usv") == ShapeType(R1, R1))
-    assert(ShapeType.ofOp("opd") == ShapeType(R1, R2))
-    assert(ShapeType.ofOp("sol") == ShapeType(C1, C2))
-    assert(ShapeType.ofOp.size == 19)
+    def shape(op: String) = OpSpec.byName(op).shape
+    assert(shape("mmu") == ShapeType(R1, C2))
+    assert(shape("tra") == ShapeType(C1, R1))
+    assert(shape("add") == ShapeType(RStar, CStar))
+    assert(shape("det") == ShapeType(One, One))
+    assert(shape("usv") == ShapeType(R1, R1))
+    assert(shape("opd") == ShapeType(R1, R2))
+    assert(shape("sol") == ShapeType(C1, C2))
+    assert(OpSpec.byName.size == 19)
   }
 
   test("row-context preservation classification (paper §8.1 note)") {
+    import Dim._
+    // The result keeps an input's row origin when its rows are an input's rows.
+    def preservesRowContext(op: String) = Set[Dim](R1, R2, RStar).contains(OpSpec.byName(op).shape.rows)
     // cpd, sol, rqr, dsv, tra, det, rnk do not preserve row context
     val noRow = Seq("cpd", "sol", "rqr", "dsv", "tra", "det", "rnk", "vsv")
-    noRow.foreach(op => assert(!ShapeType.preservesRowContext(op), op))
+    noRow.foreach(op => assert(!preservesRowContext(op), op))
     val withRow = Seq("inv", "evc", "chf", "qqr", "mmu", "opd", "usv", "evl", "add", "sub", "emu")
-    withRow.foreach(op => assert(ShapeType.preservesRowContext(op), op))
+    withRow.foreach(op => assert(preservesRowContext(op), op))
   }
 }

@@ -191,19 +191,23 @@ class RmaSqlSpec extends RmaFixtures {
 
   test("quotes and comments before FROM do not hide the RMA call") {
     Rma.inv(spd, Seq("k")).createOrReplaceTempView("inv_spd")
+    Rma.mmu(spd, Seq("k"), sq, Seq("k2")).createOrReplaceTempView("mmu_spd_sq")
     try {
-      for (query <- Seq(
+      // Each query and its plain counterpart over a view of the RMA call.
+      for ((query, plain) <- Seq(
           """SELECT k, "(" AS p FROM INV(spd BY k)""",
           """SELECT k, "it's" AS p FROM INV(spd BY k)""",
           """SELECT k, 'it\'s (' AS p FROM INV(spd BY k)""",
           "SELECT k AS `a(b` FROM INV(spd BY k)",
           "SELECT k AS `from` FROM INV(spd BY k)",
           "SELECT k /* ( */ FROM INV(spd BY k)",
-          "SELECT k -- from\nFROM INV(spd BY k)")) withClue(s"$query: ") {
-        val plain = spark.sql(query.replace("INV(spd BY k)", "inv_spd"))
-        assertDfClose(RmaSql.sql(spark, query), plain.collect().map(_.toSeq).toSeq)
+          "SELECT k -- from\nFROM INV(spd BY k)").map(q => q -> q.replace("INV(spd BY k)", "inv_spd")) ++ Seq(
+          "SELECT * FROM INV(spd /* c */ BY k)" -> "SELECT * FROM inv_spd",
+          "SELECT * FROM INV /* c */ (spd BY k)" -> "SELECT * FROM inv_spd",
+          "SELECT * FROM MMU(spd BY k, -- c\nsq BY k2)" -> "SELECT * FROM mmu_spd_sq")) withClue(s"$query: ") {
+        assertDfClose(RmaSql.sql(spark, query), spark.sql(plain).collect().map(_.toSeq).toSeq)
       }
-    } finally spark.catalog.dropTempView("inv_spd")
+    } finally Seq("inv_spd", "mmu_spd_sq").foreach(spark.catalog.dropTempView)
   }
 
   test("the operator API covers the whole operator table") {

@@ -217,12 +217,11 @@ class RmaUnarySpec extends RmaFixtures {
     assertClose(rec, collectMatrix(weather, Seq("T")), 1e-8)
   }
 
-  // ------------------------------------------------------------------ sorting flag
+  // ------------------------------------------------------------------ sorting
 
-  test("assumeSorted skips the sort (pre-sorted input gives same result)") {
+  test("pre-sorted input gives the same result") {
     val sorted = weatherLate.orderBy("T")
-    val cfg = RmaConfig(assumeSorted = true)
-    val a = Rma.inv(sorted, Seq("T"), cfg).collect().map(_.toSeq).toSet
+    val a = Rma.inv(sorted, Seq("T")).collect().map(_.toSeq).toSet
     val b = Rma.inv(weatherLate, Seq("T")).collect().map(_.toSeq).toSet
     assert(a == b)
   }

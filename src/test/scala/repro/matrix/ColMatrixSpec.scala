@@ -57,12 +57,6 @@ class ColMatrixSpec extends AnyFunSuite {
     assert(m(0, 0) != c(0, 0))
   }
 
-  test("toRowArrays matches element access") {
-    val m = rnd(4, 2, 7)
-    val r = m.toRowArrays
-    for (i <- 0 until 4; j <- 0 until 2) assert(r(i)(j) == m(i, j))
-  }
-
   test("maxAbsDiff is infinity for shape mismatch") {
     assert(rnd(2, 2, 1).maxAbsDiff(rnd(3, 2, 1)).isInfinity)
   }

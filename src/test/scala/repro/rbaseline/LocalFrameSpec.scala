@@ -21,31 +21,6 @@ class LocalFrameSpec extends RmaFixtures {
     assert(f.rows.head.length == 2)
   }
 
-  test("filter matches Spark") {
-    val f = LocalFrame.fromDF(weather).filter("T", _.asInstanceOf[String] > "6am")
-    assert(f.size == weather.filter("T > '6am'").count())
-  }
-
-  test("join matches Spark join") {
-    val f = LocalFrame.fromDF(users).join(LocalFrame.fromDF(ratings), "User", "User")
-    val sparkCount = users.join(ratings, "User").count()
-    assert(f.size == sparkCount)
-    assert(f.names.count(_ == "User") == 1)
-  }
-
-  test("aggregate matches Spark group-by") {
-    val f = LocalFrame.fromDF(users)
-      .aggregate(Seq("State"), Seq(("YoB", "avg", "avgY"), ("YoB", "count", "n")))
-    val got = f.rows.map(r => (r(0), r(1), r(2))).toSet
-    assert(got == Set(("CA", 1975.0, 2.0), ("FL", 1965.0, 1.0)))
-  }
-
-  test("aggregate supports sum, min, max") {
-    val f = LocalFrame.fromDF(weather)
-      .aggregate(Seq.empty, Seq(("H", "sum", "s"), ("H", "min", "mn"), ("H", "max", "mx")))
-    assert(f.rows.head.toSeq == Seq(16.0, 1.0, 8.0))
-  }
-
   test("sortBy orders rows like the matrix constructor") {
     val f = LocalFrame.fromDF(weather).sortBy(Seq("T"))
     assert(f.rows.map(_(0)).toSeq == Seq("5am", "6am", "7am", "8am"))
@@ -62,16 +37,6 @@ class LocalFrameSpec extends RmaFixtures {
     assert(t.convertSec >= 0 && t.computeSec >= 0)
     val m = t.result.toColMatrix(Seq("H", "W"))
     assertClose(m, Kernels.qr(collectMatrix(weather, Seq("T")))._1, 1e-9)
-  }
-
-  test("LocalR.covariance equals the hand covariance") {
-    val ca = users.join(ratings, "User").filter("State='CA'")
-      .select("User", "Balto", "Heat", "Net")
-    val cov = LocalR.covariance(LocalFrame.fromDF(ca), Seq("Balto", "Heat", "Net")).result
-    assert(math.abs(cov(0, 0) - 0.5) < 1e-9)
-    assert(math.abs(cov(1, 1) - 3.125) < 1e-9)
-    assert(math.abs(cov(0, 1) + 1.25) < 1e-9)
-    assert(Kernels.isSymmetric(cov, 1e-12))
   }
 
   test("unknown column raises a helpful error") {
