@@ -14,7 +14,7 @@ import org.apache.spark.sql.types.StructType
   * `collect`/`createDataFrame` route every row through external types —
   * per-field boxing and converter dispatch that MonetDB never pays. Staying
   * on InternalRow keeps the split/merge steps close to their BAT-level cost;
-  * this object exposes the three internals needed for that.
+  * this object exposes the internals needed for that.
   */
 object InternalDF {
 
@@ -30,6 +30,14 @@ object InternalDF {
                   rows: Seq[InternalRow]): org.apache.spark.sql.DataFrame =
     Dataset.ofRows(spark.asInstanceOf[SparkSession],
       LocalRelation(DataTypeUtils.toAttributes(schema), rows))
+
+  /** Whether the optimized plan is a `LocalRelation`: rows the driver holds,
+    * so [[collectInternal]] runs no Spark job. True of a [[createLocal]]
+    * result, of `Seq(…).toDF` and of a filter or temp view over either;
+    * `Dataset.isLocal` reads false for the last three.
+    */
+  def isDriverLocal(df: org.apache.spark.sql.DataFrame): Boolean =
+    df.asInstanceOf[DataFrame].queryExecution.optimizedPlan.isInstanceOf[LocalRelation]
 
   /** The physical (InternalRow) RDD of a DataFrame. */
   def toInternalRdd(df: org.apache.spark.sql.DataFrame): RDD[InternalRow] =

@@ -1,6 +1,6 @@
 package repro.arraydb
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
 
@@ -39,18 +39,4 @@ object ArrayDb {
     * selection*).
     */
   def select(a: DataFrame, predicate: String): DataFrame = a.filter(predicate)
-
-  /** Materialise a (small) coordinate array back into a local ColMatrix for
-    * result checking.
-    */
-  def toColMatrix(a: DataFrame): repro.matrix.ColMatrix = {
-    val rows = a.select(col("i").cast("long"), col("j").cast("int"), col("v").cast("double"))
-      .collect()
-    if (rows.isEmpty) return repro.matrix.ColMatrix.zeros(0, 0)
-    val n = rows.map(_.getLong(0)).max.toInt + 1
-    val k = rows.map(_.getInt(1)).max + 1
-    val m = repro.matrix.ColMatrix.zeros(n, k)
-    rows.foreach { r: Row => m.cols(r.getInt(1))(r.getLong(0).toInt) = r.getDouble(2) }
-    m
-  }
 }

@@ -1,6 +1,7 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.repro.InternalDF
 
 import repro.SynthData
 import repro.core.{Rma, RmaConfig}
@@ -12,7 +13,9 @@ import repro.matrix.ColumnarBackend
   * how handling per-column context scales with relation width. We run the
   * same sweep with the columnar (no-copy) kernel — the RMA+BAT path the paper
   * uses for add — over RDD-generated wide relations (Catalyst cannot build
-  * 10K-column projection expressions in reasonable time, see DESIGN.md).
+  * 10K-column projection expressions in reasonable time, see DESIGN.md),
+  * held on the driver like BATs in the server, so add takes the collect
+  * route and the timing includes no collect of the inputs.
   */
 object Table4 {
 
@@ -21,14 +24,13 @@ object Table4 {
 
   /** Run the sweep; returns (attrs, seconds) pairs. */
   def run(spark: SparkSession, attrs: Seq[Int] = paperAttrs, rows: Int = 1000): Seq[(Int, Double)] = {
-    val cfg = RmaConfig(backend = ColumnarBackend, distributedElementwise = false)
+    val cfg = RmaConfig(backend = ColumnarBackend)
+    def driverLocal(df: DataFrame) = InternalDF.createLocal(spark, df.schema, InternalDF.collectInternal(df).toSeq)
     attrs.map { k =>
-      val r = SynthData.wideRelationRdd(spark, rows, k, seed = 1, keyName = "k")
-      val s = SynthData.wideRelationRdd(spark, rows, k, seed = 2, keyName = "k2")
-      r.cache(); s.cache()
-      BenchUtil.force(r); BenchUtil.force(s) // data generation is not timed
+      // data generation is not timed
+      val r = driverLocal(SynthData.wideRelationRdd(spark, rows, k, seed = 1, keyName = "k"))
+      val s = driverLocal(SynthData.wideRelationRdd(spark, rows, k, seed = 2, keyName = "k2"))
       val (_, sec) = BenchUtil.time { BenchUtil.force(Rma.add(r, Seq("k"), s, Seq("k2"), cfg)) }
-      r.unpersist(); s.unpersist()
       println(s"  [table4] attrs=$k -> ${BenchUtil.fmtSec(sec)}s")
       (k, sec)
     }

@@ -32,15 +32,14 @@ object Constructors {
 
   /** A relation split into contextual information and application part.
     *
-    * @param orderCols   order schema U (attribute names, in the given order)
     * @param appCols     application schema (schema order of the input)
-    * @param orderFields original StructFields of U (types preserved)
+    * @param orderFields original StructFields of U, in the given order (types
+    *                    preserved)
     * @param orderRows   order part r.U sorted by U ascending, as *catalyst*
     *                    values (UTF8String for strings, Int for dates, ...)
     * @param matrix      application part as a column-major matrix, same order
     */
   final case class SplitRelation(
-      orderCols: Seq[String],
       appCols: Seq[String],
       orderFields: Seq[StructField],
       orderRows: Array[Array[Any]],
@@ -99,7 +98,12 @@ object Constructors {
   def collectSplit(df: DataFrame, order: Seq[String]): SplitRelation = {
     val (u, app) = resolveSchemas(df, order)
     val fields = u.map(c => df.schema(c))
-    val rows = InternalDF.collectInternal(df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*))
+    // A relation that already reads U, then doubles (such as an op's result) is
+    // collected as it is: over a LocalRelation, Spark evaluates a select row by
+    // row at a cost quadratic in the width (ConvertToLocalRelation).
+    val asIs = df.columns.toSeq == u ++ app && app.forall(c => df.schema(c).dataType == DoubleType)
+    val rows = InternalDF.collectInternal(
+      if (asIs) df else df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*))
     val (byKey, uTypes) = (ascending(fields), fields.map(_.dataType))
     java.util.Arrays.parallelSort(rows, byKey)
     requireValid(Seq(scan(rows.iterator, byKey, uTypes, app.length)), u, app)
@@ -118,7 +122,7 @@ object Constructors {
       while (j < k) { cols(j)(i) = r.getDouble(u.length + j); j += 1 }
       i += 1
     }
-    SplitRelation(u, app, fields, orderRows, new ColMatrix(cols, n))
+    SplitRelation(app, fields, orderRows, new ColMatrix(cols, n))
   }
 
   /** The signature perfbench's replay calls. It accepts only the values

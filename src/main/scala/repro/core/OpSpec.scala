@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.Column
+import org.apache.spark.sql.{Column, DataFrame}
 
 import repro.matrix.{ColMatrix, MatrixBackend}
 
@@ -22,39 +22,65 @@ final case class Precondition(holds: Seq[Arg] => Boolean, why: Seq[Arg] => Strin
 /** One row of the relational matrix algebra (paper Tables 1 and 2): an op is
   * a matrix kernel plus a shape type. The shape type alone fixes the
   * contextual information of the result (paper Tables 2 and 3), so the
-  * evaluator [[Rma.eval]] derives the relation constructor from it.
+  * evaluator [[Rma.eval]] derives the relation constructor from it. The rows
+  * themselves are the table [[Rma]]; each applies like a method,
+  * `Rma.inv(r, U)` or `Rma.add(r, U, s, V, cfg)`.
   *
   * @param kernel  base result from the arguments' application parts
   * @param preconditions the kernel's own conditions and those the shape
   *                type implies, in the order they are checked
   * @param combine Catalyst column combiner of the distributed element-wise
-  *                path (add, sub, emu only)
+  *                route (add, sub, emu only)
   */
-final case class OpSpec(
-    name: String,
-    arity: Int,
-    shape: ShapeType,
-    kernel: (MatrixBackend, Seq[ColMatrix]) => ColMatrix,
-    preconditions: Seq[Precondition],
-    combine: Option[(Column, Column) => Column] = None) {
+sealed abstract class OpSpec(
+    val name: String,
+    val arity: Int,
+    val shape: ShapeType,
+    val kernel: (MatrixBackend, Seq[ColMatrix]) => ColMatrix,
+    val preconditions: Seq[Precondition],
+    val combine: Option[(Column, Column) => Column]) {
 
   def requireArity(n: Int): Unit =
     require(n == arity,
       s"$name takes ${if (arity == 1) "one argument" else "two arguments"}, got $n")
+
+  override def toString: String = name
 }
 
-/** The operator table: all 19 ops of the algebra. */
+/** An op of one argument, applied as `op(r, U)`. */
+final class UnaryOp private[core] (name: String, shape: ShapeType,
+                                   kernel: (MatrixBackend, Seq[ColMatrix]) => ColMatrix,
+                                   preconditions: Seq[Precondition])
+    extends OpSpec(name, 1, shape, kernel, preconditions, None) {
+
+  def apply(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
+    Rma.eval(this, Seq(r -> u), cfg)
+}
+
+/** An op of two arguments, applied as `op(r, U, s, V)`. */
+final class BinaryOp private[core] (name: String, shape: ShapeType,
+                                    kernel: (MatrixBackend, Seq[ColMatrix]) => ColMatrix,
+                                    preconditions: Seq[Precondition],
+                                    combine: Option[(Column, Column) => Column])
+    extends OpSpec(name, 2, shape, kernel, preconditions, combine) {
+
+  def apply(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
+            cfg: RmaConfig = RmaConfig.default): DataFrame =
+    Rma.eval(this, Seq(r -> u, s -> v), cfg)
+}
+
+/** The builders of the operator table's rows and the conditions they list. */
 object OpSpec {
   import Dim._
 
-  private val square = Precondition(a => a(0).nRows == a(0).nCols,
+  private[core] val square = Precondition(a => a(0).nRows == a(0).nCols,
     a => s"application part must be square, got ${a(0).nRows}x${a(0).nCols} " +
       s"(order schema ${a(0).orderCols}, application schema ${a(0).appCols})")
-  private val sameRows = Precondition(a => a(0).nRows == a(1).nRows,
+  private[core] val sameRows = Precondition(a => a(0).nRows == a(1).nRows,
     a => s"row counts differ (${a(0).nRows} vs ${a(1).nRows})")
-  private val sameWidth = Precondition(a => a(0).nCols == a(1).nCols,
+  private[core] val sameWidth = Precondition(a => a(0).nCols == a(1).nCols,
     a => s"application schemas are not union compatible (${a(0).appCols} vs ${a(1).appCols})")
-  private val innerDims = Precondition(a => a(0).nCols == a(1).nRows,
+  private[core] val innerDims = Precondition(a => a(0).nCols == a(1).nRows,
     a => s"|application schema of r| = ${a(0).nCols} must equal |s| = ${a(1).nRows}")
   private val disjointOrders = Precondition(a => a(0).orderCols.intersect(a(1).orderCols).isEmpty,
     a => s"order schemas must not overlap (paper §4.2): ${a(0).orderCols.intersect(a(1).orderCols)}")
@@ -73,45 +99,16 @@ object OpSpec {
     case _              => own
   }
 
-  private def unary(name: String, rows: Dim, cols: Dim, pre: Precondition*)(
-      k: (MatrixBackend, ColMatrix) => ColMatrix): OpSpec =
-    OpSpec(name, 1, ShapeType(rows, cols), (b, m) => k(b, m(0)), withShape(rows, cols, pre))
+  private[core] def unary(name: String, rows: Dim, cols: Dim, pre: Precondition*)(
+      k: (MatrixBackend, ColMatrix) => ColMatrix): UnaryOp =
+    new UnaryOp(name, ShapeType(rows, cols), (b, m) => k(b, m(0)), withShape(rows, cols, pre))
 
-  private def binary(name: String, rows: Dim, cols: Dim, pre: Precondition*)(
-      k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): OpSpec =
-    OpSpec(name, 2, ShapeType(rows, cols), (b, m) => k(b, m(0), m(1)), withShape(rows, cols, pre))
+  private[core] def binary(name: String, rows: Dim, cols: Dim, pre: Precondition*)(
+      k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): BinaryOp =
+    new BinaryOp(name, ShapeType(rows, cols), (b, m) => k(b, m(0), m(1)), withShape(rows, cols, pre), None)
 
-  private def elementwise(name: String, combine: (Column, Column) => Column)(
-      k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): OpSpec =
-    binary(name, RStar, CStar)(k).copy(combine = Some(combine))
-
-  private def scalar(v: Double): ColMatrix = ColMatrix.fromVector(Array(v))
-
-  val inv: OpSpec = unary("inv", R1, C1, square)(_.inv(_))
-  val evc: OpSpec = unary("evc", R1, C1, square)(_.eig(_)._2)
-  val evl: OpSpec = unary("evl", R1, One, square)((b, m) => ColMatrix.fromVector(b.eig(m)._1))
-  val chf: OpSpec = unary("chf", R1, C1, square)(_.chf(_))
-  val qqr: OpSpec = unary("qqr", R1, C1)(_.qr(_)._1)
-  val rqr: OpSpec = unary("rqr", C1, C1)(_.qr(_)._2)
-  val usv: OpSpec = unary("usv", R1, R1)(_.svdFullU(_))
-  val dsv: OpSpec = unary("dsv", C1, C1)((b, m) => ColMatrix.diag(b.svd(m)._2))
-  // vsv has shape (c1,c1) like dsv, not the paper's Table 1 entry: V is
-  // j1 x j1, and the paper's Figure 14 measurements confirm the small result
-  // shape (DESIGN.md §3).
-  val vsv: OpSpec = unary("vsv", C1, C1)(_.svd(_)._3)
-  val tra: OpSpec = unary("tra", C1, R1)(_.tra(_))
-  val det: OpSpec = unary("det", One, One, square)((b, m) => scalar(b.det(m)))
-  val rnk: OpSpec = unary("rnk", One, One)((b, m) => scalar(b.rnk(m).toDouble))
-  val mmu: OpSpec = binary("mmu", R1, C2, innerDims)(_.mmu(_, _))
-  val opd: OpSpec = binary("opd", R1, R2, sameWidth)(_.opd(_, _))
-  val cpd: OpSpec = binary("cpd", C1, C2, sameRows)(_.cpd(_, _))
-  val sol: OpSpec = binary("sol", C1, C2, sameRows)(_.sol(_, _))
-  val add: OpSpec = elementwise("add", _ + _)(_.add(_, _))
-  val sub: OpSpec = elementwise("sub", _ - _)(_.sub(_, _))
-  val emu: OpSpec = elementwise("emu", _ * _)(_.emu(_, _))
-
-  val all: Seq[OpSpec] =
-    Seq(inv, evc, evl, chf, qqr, rqr, usv, dsv, vsv, tra, det, rnk, mmu, opd, cpd, sol, add, sub, emu)
-
-  val byName: Map[String, OpSpec] = all.map(o => o.name -> o).toMap
+  private[core] def elementwise(name: String, combine: (Column, Column) => Column)(
+      k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): BinaryOp =
+    new BinaryOp(name, ShapeType(RStar, CStar), (b, m) => k(b, m(0), m(1)),
+      withShape(RStar, CStar, Nil), Some(combine))
 }

@@ -1,25 +1,21 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.repro.InternalDF
 
 import repro.core.Constructors.SplitRelation
-import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, MatrixBackend}
+import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, Kernels, MatrixBackend}
 
 /** Execution configuration for relational matrix operations. Order schemas
-  * are always checked to be keys, and inputs are always sorted.
+  * are always checked to be keys, and inputs are always sorted. The input,
+  * not the configuration, picks the element-wise route ([[Rma.eval]]).
   *
   * @param backend physical kernel backend for base results. [[BreezeBackend]]
   *                is the RMA+MKL analog (copy + library call),
   *                [[ColumnarBackend]] the RMA+BAT analog (no-copy column
   *                kernels). Mirrors the paper's policy of choosing per query.
-  * @param distributedElementwise run add/sub/emu fully distributed through
-  *                Catalyst (sort → global rank → rank join → column
-  *                arithmetic), the analog of MonetDB executing linear ops
-  *                directly on BATs. When false they use the collect path.
   */
-final case class RmaConfig(
-    backend: MatrixBackend = BreezeBackend,
-    distributedElementwise: Boolean = true) {
+final case class RmaConfig(backend: MatrixBackend = BreezeBackend) {
 
   /** Read by perfbench's run record; keys are always checked. */
   @deprecated("order schemas are always checked to be keys", "")
@@ -28,40 +24,109 @@ final case class RmaConfig(
   /** Read by perfbench's run record; inputs are always sorted. */
   @deprecated("inputs are always sorted", "")
   def assumeSorted: Boolean = false
+
+  /** Read by perfbench's run record: the route its cached inputs take. */
+  @deprecated("the inputs pick the element-wise route: collect when every one is driver-local", "")
+  def distributedElementwise: Boolean = true
 }
 
 object RmaConfig {
   val default: RmaConfig = RmaConfig()
 }
 
-/** The relational matrix algebra (paper Section 4, Table 2).
+/** The relational matrix algebra (paper Section 4, Tables 1 and 2), as its
+  * operator table.
   *
   * Every operation takes relation(s) as DataFrames plus one order schema per
   * argument and returns a relation (DataFrame) — the algebra is closed. The
   * result carries the base result of the corresponding matrix operation plus
   * contextual information (row and column origins) per the op's shape type.
   *
-  * The ops are rows of the table [[OpSpec]], evaluated by [[eval]]; the named
-  * methods below forward to it. Unary ops: `op(r, U)`; binary ops:
-  * `op(r, U, s, V)` — the SQL surface `SELECT * FROM OP(r BY U, s BY V)` is
-  * provided by [[RmaSql]].
+  * Each op is one row below, an [[OpSpec]] evaluated by [[eval]]. Unary ops
+  * apply as `Rma.inv(r, U)`, binary ops as `Rma.mmu(r, U, s, V)`, each with
+  * an optional [[RmaConfig]] last; the SQL surface
+  * `SELECT * FROM OP(r BY U, s BY V)` is provided by [[RmaSql]].
   */
 object Rma {
   import Constructors._
   import Dim._
+  import OpSpec._
+
+  private def scalar(v: Double): ColMatrix = ColMatrix.fromVector(Array(v))
+
+  /** Matrix inversion (shape (r1,c1)). */
+  val inv: UnaryOp = unary("inv", R1, C1, square)(_.inv(_))
+  /** Eigenvectors of a symmetric application part (shape (r1,c1)). */
+  val evc: UnaryOp = unary("evc", R1, C1, square)(_.eig(_)._2)
+  /** Eigenvalues, descending, of a symmetric application part (shape (r1,1)). */
+  val evl: UnaryOp = unary("evl", R1, One, square)((b, m) => ColMatrix.fromVector(b.eig(m)._1))
+  /** Cholesky factor R with A = RᵀR (shape (r1,c1)). */
+  val chf: UnaryOp = unary("chf", R1, C1, square)(_.chf(_))
+  /** Q factor of the QR decomposition (shape (r1,c1)). */
+  val qqr: UnaryOp = unary("qqr", R1, C1)(_.qr(_)._1)
+  /** R factor of the QR decomposition (shape (c1,c1)). */
+  val rqr: UnaryOp = unary("rqr", C1, C1)(_.qr(_)._2)
+  /** Full left SVD factor: thin U completed to a square orthonormal basis
+    * (shape (r1,r1)); result columns are named by the sorted key values
+    * (column cast ∇U), so |U| must be 1.
+    */
+  val usv: UnaryOp = unary("usv", R1, R1)((b, m) => Kernels.completeToSquare(b.svd(m)._1))
+  /** Diagonal matrix of singular values, descending (shape (c1,c1)). */
+  val dsv: UnaryOp = unary("dsv", C1, C1)((b, m) => ColMatrix.diag(b.svd(m)._2))
+  /** Right singular vectors V. Shape (c1,c1) like dsv, not the paper's
+    * Table 1 entry: V is j1 x j1, and the paper's Figure 14 measurements
+    * confirm the small result shape (DESIGN.md §3).
+    */
+  val vsv: UnaryOp = unary("vsv", C1, C1)(_.svd(_)._3)
+  /** Transpose (shape (c1,r1)): rows are the application attributes (new
+    * attribute C), columns are named by the sorted key values (∇U, |U|=1).
+    */
+  val tra: UnaryOp = unary("tra", C1, R1)(_.tra(_))
+  /** Determinant (shape (1,1)). */
+  val det: UnaryOp = unary("det", One, One, square)((b, m) => scalar(b.det(m)))
+  /** Numerical rank (shape (1,1)). */
+  val rnk: UnaryOp = unary("rnk", One, One)((b, m) => scalar(b.rnk(m).toDouble))
+  /** Matrix multiplication (shape (r1,c2)): schema U ∘ V̄. The application
+    * part of `r` must have as many columns as `s` has rows.
+    */
+  val mmu: BinaryOp = binary("mmu", R1, C2, innerDims)(_.mmu(_, _))
+  /** Outer product a·bᵀ (shape (r1,r2)): schema U ∘ ∇V, so |V| must be 1. */
+  val opd: BinaryOp = binary("opd", R1, R2, sameWidth)(_.opd(_, _))
+  /** Cross product aᵀ·b (shape (c1,c2)): schema (C) ∘ V̄. */
+  val cpd: BinaryOp = binary("cpd", C1, C2, sameRows)(_.cpd(_, _))
+  /** Solve a·x = b, least squares when rectangular (shape (c1,c2)):
+    * schema (C) ∘ V̄.
+    */
+  val sol: BinaryOp = binary("sol", C1, C2, sameRows)(_.sol(_, _))
+  /** Element-wise addition (shape (r*,c*)): schema U ∘ V ∘ Ū. */
+  val add: BinaryOp = elementwise("add", _ + _)(_.add(_, _))
+  /** Element-wise subtraction (shape (r*,c*)). */
+  val sub: BinaryOp = elementwise("sub", _ - _)(_.sub(_, _))
+  /** Element-wise multiplication (shape (r*,c*)). */
+  val emu: BinaryOp = elementwise("emu", _ * _)(_.emu(_, _))
+
+  /** The operator table: all 19 ops of the algebra. */
+  val all: Seq[OpSpec] =
+    Seq(inv, evc, evl, chf, qqr, rqr, usv, dsv, vsv, tra, det, rnk, mmu, opd, cpd, sol, add, sub, emu)
+
+  val byName: Map[String, OpSpec] = all.map(o => o.name -> o).toMap
 
   /** Evaluate `op` on its arguments, each a relation with its order schema.
     *
     * Every call resolves the arguments' schemas and checks the op's
     * preconditions in table order; a row count is computed on first use,
     * by the sorted scan that also rejects nulls and duplicate keys.
-    * add/sub/emu then run on the distributed element-wise path when
-    * `cfg.distributedElementwise` is set, where each input's rank step gives
-    * its row count. Every other call splits each distinct argument once (the
-    * split gives the row count), runs the op's kernel on `cfg.backend`, and
-    * builds the result with the relation constructor that the op's shape
-    * type selects (paper Tables 2 and 3). A failed check, schema, key or
-    * null names the op: `requirement failed: <op>: <reason>`.
+    * add/sub/emu run on the distributed element-wise route, where each
+    * input's rank step gives its row count, unless every argument is
+    * driver-local (a `LocalRelation`, such as a nested op's result): then a
+    * split costs no Spark job, while the distributed route would sort and
+    * shuffle. It takes *every* argument because the split collects each
+    * input before the row counts are compared. Every other call splits each
+    * distinct argument once (the split gives the row count), runs the op's
+    * kernel on `cfg.backend`, and builds the result with the relation
+    * constructor that the op's shape type selects (paper Tables 2 and 3). A
+    * failed check, schema, key or null names the op:
+    * `requirement failed: <op>: <reason>`.
     */
   def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])],
            cfg: RmaConfig = RmaConfig.default): DataFrame = eval(op, args, cfg, new Splits)
@@ -71,7 +136,7 @@ object Rma {
                          splits: Splits): DataFrame = {
     op.requireArity(args.length)
     def check(a: Seq[Arg]): Unit = op.preconditions.foreach(p => require(p.holds(a), p.why(a)))
-    op.combine.filter(_ => cfg.distributedElementwise) match {
+    op.combine.filter(_ => !args.forall { case (df, _) => InternalDF.isDriverLocal(df) }) match {
       case Some(combine) =>
         val Seq(r, s) = named(op) {
           val ranked = args.map { case (df, u) => new Ranked(df, u) }
@@ -144,90 +209,4 @@ object Rma {
     }
     withOrderPart(spark, fields, rows, base, names)
   }
-
-  /** Matrix inversion (shape (r1,c1)). */
-  def inv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.inv, Seq(r -> u), cfg)
-
-  /** Eigenvectors of a symmetric application part (shape (r1,c1)). */
-  def evc(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.evc, Seq(r -> u), cfg)
-
-  /** Eigenvalues, descending, of a symmetric application part (shape (r1,1)). */
-  def evl(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.evl, Seq(r -> u), cfg)
-
-  /** Cholesky factor R with A = RᵀR (shape (r1,c1)). */
-  def chf(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.chf, Seq(r -> u), cfg)
-
-  /** Q factor of the QR decomposition (shape (r1,c1)). */
-  def qqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.qqr, Seq(r -> u), cfg)
-
-  /** R factor of the QR decomposition (shape (c1,c1)). */
-  def rqr(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.rqr, Seq(r -> u), cfg)
-
-  /** Full left SVD factor (shape (r1,r1)); result columns are named by the
-    * sorted key values (column cast ∇U), so |U| must be 1.
-    */
-  def usv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.usv, Seq(r -> u), cfg)
-
-  /** Diagonal matrix of singular values, descending (shape (c1,c1)). */
-  def dsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.dsv, Seq(r -> u), cfg)
-
-  /** Right singular vectors V (shape (c1,c1) — see DESIGN.md §3 on the
-    * paper's Table 1 typo for vsv).
-    */
-  def vsv(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.vsv, Seq(r -> u), cfg)
-
-  /** Transpose (shape (c1,r1)): rows are the application attributes (new
-    * attribute C), columns are named by the sorted key values (∇U, |U|=1).
-    */
-  def tra(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.tra, Seq(r -> u), cfg)
-
-  /** Determinant (shape (1,1)). */
-  def det(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.det, Seq(r -> u), cfg)
-
-  /** Numerical rank (shape (1,1)). */
-  def rnk(r: DataFrame, u: Seq[String], cfg: RmaConfig = RmaConfig.default): DataFrame =
-    eval(OpSpec.rnk, Seq(r -> u), cfg)
-
-  /** Matrix multiplication (shape (r1,c2)): schema U ∘ V̄. The application
-    * part of `r` must have as many columns as `s` has rows.
-    */
-  def mmu(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.mmu, Seq(r -> u, s -> v), cfg)
-
-  /** Outer product a·bᵀ (shape (r1,r2)): schema U ∘ ∇V, so |V| must be 1. */
-  def opd(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.opd, Seq(r -> u, s -> v), cfg)
-
-  /** Cross product aᵀ·b (shape (c1,c2)): schema (C) ∘ V̄. */
-  def cpd(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.cpd, Seq(r -> u, s -> v), cfg)
-
-  /** Solve a·x = b, least squares when rectangular (shape (c1,c2)):
-    * schema (C) ∘ V̄.
-    */
-  def sol(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.sol, Seq(r -> u, s -> v), cfg)
-
-  /** Element-wise addition (shape (r*,c*)): schema U ∘ V ∘ Ū. */
-  def add(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.add, Seq(r -> u, s -> v), cfg)
-
-  /** Element-wise subtraction (shape (r*,c*)). */
-  def sub(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.sub, Seq(r -> u, s -> v), cfg)
-
-  /** Element-wise multiplication (shape (r*,c*)). */
-  def emu(r: DataFrame, u: Seq[String], s: DataFrame, v: Seq[String],
-          cfg: RmaConfig = RmaConfig.default): DataFrame = eval(OpSpec.emu, Seq(r -> u, s -> v), cfg)
 }

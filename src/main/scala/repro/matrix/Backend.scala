@@ -40,9 +40,6 @@ trait MatrixBackend {
   /** Thin SVD `(U, sigma, V)`, sigma descending, canonical signs. */
   def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix)
 
-  /** Full square left SVD factor (shape type (r1,r1), op usv). */
-  def svdFullU(a: ColMatrix): ColMatrix
-
   /** Symmetric eigen `(values desc, vectors)`, canonical signs. */
   def eig(a: ColMatrix): (Array[Double], ColMatrix)
 

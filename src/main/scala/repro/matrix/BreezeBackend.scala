@@ -173,12 +173,6 @@ object BreezeBackend extends MatrixBackend {
     Canon.canonSvd(fromDense(f.leftVectors), f.singularValues.toArray, fromDense(f.rightVectors.t))
   }
 
-  def svdFullU(a: ColMatrix): ColMatrix = {
-    // Same completion as the columnar backend so both agree exactly.
-    val (uThin, _, _) = svd(a)
-    Kernels.completeToSquare(uThin)
-  }
-
   def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
     require(Kernels.isSymmetric(a), "eig: only symmetric matrices are supported (see DESIGN.md)")
     val f = beigSym(toDense(a))

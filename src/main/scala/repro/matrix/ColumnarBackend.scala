@@ -22,7 +22,6 @@ object ColumnarBackend extends MatrixBackend {
   def chf(a: ColMatrix): ColMatrix = Kernels.chol(a)
   def qr(a: ColMatrix): (ColMatrix, ColMatrix) = Kernels.qr(a)
   def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = Kernels.svd(a)
-  def svdFullU(a: ColMatrix): ColMatrix = Kernels.svdFullU(a)
   def eig(a: ColMatrix): (Array[Double], ColMatrix) = Kernels.eigSym(a)
   def sol(a: ColMatrix, b: ColMatrix): ColMatrix = Kernels.solve(a, b)
 }

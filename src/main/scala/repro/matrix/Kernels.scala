@@ -510,15 +510,9 @@ object Kernels {
     added.toArray
   }
 
-  /** Full (square) left factor of the SVD: thin U completed to n x n. */
-  def svdFullU(a: ColMatrix): ColMatrix = {
-    val (uThin, _, _) = svd(a)
-    completeToSquare(uThin)
-  }
-
   /** Complete a matrix with orthonormal columns to a square orthonormal
-    * matrix (deterministic Gram-Schmidt against the standard basis). Shared
-    * by both backends so `usv` results are backend-independent.
+    * matrix (deterministic Gram-Schmidt against the standard basis). `usv`
+    * applies it to either backend's thin U, so its results agree.
     */
   def completeToSquare(uThin: ColMatrix): ColMatrix = {
     if (uThin.nCols == uThin.nRows) uThin

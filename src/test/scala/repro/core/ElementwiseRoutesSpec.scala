@@ -1,27 +1,30 @@
 package repro.core
 
+import java.sql.Date
+
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.repro.SparkJobs
-import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType}
+import org.apache.spark.sql.repro.{InternalDF, SparkJobs}
+import org.apache.spark.sql.types.{DateType, DoubleType, IntegerType, StringType}
 
 /** add/sub/emu give the same relation or the same error on the collect and
   * on the distributed element-wise route: no null and no row count slips
-  * through either, and faulty input reports the same first error.
+  * through either, and faulty input reports the same first error. The
+  * inputs pick the route: driver-local ones the collect route, any other
+  * the distributed one.
   */
 class ElementwiseRoutesSpec extends RmaFixtures {
-
-  private def onBothRoutes(body: RmaConfig => Unit): Unit =
-    for (distributed <- Seq(true, false)) withClue(s"distributedElementwise = $distributed: ") {
-      body(RmaConfig(distributedElementwise = distributed))
-    }
 
   /** The message of the error `Rma.add(r BY u, s BY v)` raises on each route,
     * distributed first.
     */
   private def messages(r: DataFrame, u: String, s: DataFrame, v: String): Seq[String] =
-    Seq(true, false).map(distributed => intercept[IllegalArgumentException] {
-      Rma.add(r, Seq(u), s, Seq(v), RmaConfig(distributedElementwise = distributed))
-    }.getMessage)
+    Seq(true, false).map { distributed =>
+      var message = ""
+      onRoute(distributed) { in =>
+        message = intercept[IllegalArgumentException] { Rma.add(in(r), Seq(u), in(s), Seq(v)) }.getMessage
+      }
+      message
+    }
 
   /** A relation with string key `key`, application attributes `app` and
     * `n` rows; with `nulls` its second row's application values are null,
@@ -37,9 +40,9 @@ class ElementwiseRoutesSpec extends RmaFixtures {
     val withNull = makeDf(Seq("k" -> StringType, "a" -> DoubleType, "b" -> DoubleType),
       Seq(Seq("k1", 1.0, 2.0), Seq("k2", null, 3.0), Seq("k3", 4.0, 5.0)))
     val ok = rel("m", Seq("a", "b"), 3)
-    onBothRoutes { cfg =>
+    onBothRoutes { in =>
       for ((r, u, s, v) <- Seq((withNull, "k", ok, "m"), (ok, "m", withNull, "k"))) {
-        val e = intercept[IllegalArgumentException] { Rma.add(r, Seq(u), s, Seq(v), cfg) }
+        val e = intercept[IllegalArgumentException] { Rma.add(in(r), Seq(u), in(s), Seq(v)) }
         assert(e.getMessage.contains("null in application attribute a"))
       }
     }
@@ -47,14 +50,14 @@ class ElementwiseRoutesSpec extends RmaFixtures {
 
   test("unequal row counts are rejected on both routes") {
     val (r, s) = (rel("k", Seq("a", "b"), 3), rel("m", Seq("a", "b"), 2))
-    onBothRoutes { cfg =>
-      val e = intercept[IllegalArgumentException] { Rma.add(r, Seq("k"), s, Seq("m"), cfg) }
+    onBothRoutes { in =>
+      val e = intercept[IllegalArgumentException] { Rma.add(in(r), Seq("k"), in(s), Seq("m")) }
       assert(e.getMessage.contains("add: row counts differ (3 vs 2)"))
     }
   }
 
   test("two faults at once give the same first error on both routes, schema faults before any job") {
-    val r = cached(rel("k", Seq("a", "b"), 3))
+    val r = rel("k", Seq("a", "b"), 3)
     val cases = Seq(
       ("overlapping order schemas and unequal widths", rel("k", Seq("a"), 3), "order schemas must not overlap"),
       ("overlapping order schemas and unequal row counts", rel("k", Seq("a", "b"), 2),
@@ -69,18 +72,17 @@ class ElementwiseRoutesSpec extends RmaFixtures {
         "application schemas are not union compatible"),
       ("unequal widths and a duplicate key", rel("m", Seq("a"), 3, dupKey = true),
         "application schemas are not union compatible"))
-    try for ((faults, s0, expected) <- cases) withClue(s"$faults: ") {
-      val s = cached(s0)
-      onBothRoutes { cfg =>
+    for ((faults, s, expected) <- cases) withClue(s"$faults: ") {
+      onBothRoutes { in =>
+        val (rIn, sIn) = (in(r), in(s))
         var e: IllegalArgumentException = null
         val jobs = SparkJobs.count(spark) {
-          e = intercept[IllegalArgumentException] { Rma.add(r, Seq("k"), s, Seq(s.columns.head), cfg) }
+          e = intercept[IllegalArgumentException] { Rma.add(rIn, Seq("k"), sIn, Seq(s.columns.head)) }
         }
         assert(e.getMessage.contains(s"add: $expected"))
         assert(jobs == 0, "Spark jobs before the schema checks")
       }
-      s.unpersist()
-    } finally r.unpersist()
+    }
   }
 
   test("two faults in the data give the same first error on both routes, naming the op") {
@@ -93,8 +95,8 @@ class ElementwiseRoutesSpec extends RmaFixtures {
       ("a duplicate key and unequal row counts", rel("m", Seq("a", "b"), 2, dupKey = true),
         "order schema List(m) is not a key"))
     for ((faults, s, expected) <- cases) withClue(s"$faults: ") {
-      onBothRoutes { cfg =>
-        val e = intercept[IllegalArgumentException] { Rma.add(r, Seq("k"), s, Seq("m"), cfg) }
+      onBothRoutes { in =>
+        val e = intercept[IllegalArgumentException] { Rma.add(in(r), Seq("k"), in(s), Seq("m")) }
         assert(e.getMessage.startsWith(s"requirement failed: add: $expected"))
       }
     }
@@ -149,5 +151,44 @@ class ElementwiseRoutesSpec extends RmaFixtures {
       assert(jobs == 6)
       assert(sum.count() == 3)
     } finally { r.unpersist(); s.unpersist() }
+  }
+
+  test("add of two driver-local relations runs no Spark job") {
+    val s = rel("m", Seq("a", "b"), 3)
+    val r = rel("k", Seq("a", "b"), 4).filter("k != 'k4'")
+    r.createOrReplaceTempView("local_r")
+    // A filter over a local relation, and a temp view of it, are driver-local too.
+    try for (input <- Seq(r, spark.table("local_r"))) {
+      var sum: DataFrame = null
+      val jobs = SparkJobs.count(spark) { sum = Rma.add(input, Seq("k"), s, Seq("m")) }
+      assert(jobs == 0)
+      assertDfClose(sum, (1 to 3).map(i => Seq(s"k$i", s"m$i", 20.0 * i, 20.0 * i + 2)))
+    } finally spark.catalog.dropTempView("local_r")
+  }
+
+  test("a driver-local and a cached input take the distributed route and give the all-local result") {
+    val (r, s) = (rel("k", Seq("a", "b"), 3), rel("m", Seq("a", "b"), 3))
+    val allLocal = Rma.add(r, Seq("k"), s, Seq("m"))
+    assert(InternalDF.isDriverLocal(allLocal), "the all-local add takes the collect route")
+    onRoute(distributed = true) { in =>
+      for (mixed <- Seq(Rma.add(in(r), Seq("k"), s, Seq("m")), Rma.add(r, Seq("k"), in(s), Seq("m")))) {
+        assert(!InternalDF.isDriverLocal(mixed), "a mixed add takes the distributed route")
+        assert(mixed.schema == allLocal.schema)
+        assertDfClose(mixed, allLocal.collect().map(_.toSeq).toSeq)
+      }
+    }
+  }
+
+  test("add over date keys collects as Rows on both routes") {
+    def dated(key: String, days: Seq[String]) =
+      makeDf(Seq(key -> DateType, "a" -> DoubleType),
+        days.zipWithIndex.map { case (d, i) => Seq(Date.valueOf(d), i.toDouble) })
+    val r = dated("d", Seq("2020-01-02", "1969-12-31"))
+    val s = dated("e", Seq("1900-02-28", "2000-02-29"))
+    onBothRoutes { in =>
+      assertDfClose(Rma.add(in(r), Seq("d"), in(s), Seq("e")), Seq(
+        Seq(Date.valueOf("1969-12-31"), Date.valueOf("1900-02-28"), 1.0),
+        Seq(Date.valueOf("2020-01-02"), Date.valueOf("2000-02-29"), 1.0)))
+    }
   }
 }

@@ -57,10 +57,8 @@ class ErrorsSpec extends RmaFixtures {
   test("element-wise ops require equal cardinalities") {
     val small = makeDf(Seq("m" -> StringType, "h" -> DoubleType, "w" -> DoubleType),
       Seq(Seq("s1", 1.0, 2.0)))
-    for (distributed <- Seq(true, false)) withClue(s"distributedElementwise = $distributed: ") {
-      val e = intercept[IllegalArgumentException] {
-        Rma.add(weather, Seq("T"), small, Seq("m"), RmaConfig(distributedElementwise = distributed))
-      }
+    onBothRoutes { in =>
+      val e = intercept[IllegalArgumentException] { Rma.add(in(weather), Seq("T"), in(small), Seq("m")) }
       assert(e.getMessage.contains("row counts differ"))
       assert(e.getMessage.contains("add: "), "the message names the op")
     }
@@ -108,22 +106,26 @@ class ErrorsSpec extends RmaFixtures {
     assert(e.getMessage.contains("row counts differ"))
   }
 
-  /** Two 2x2 relations `r` and `s`, valid arguments of every op, and `r`
-    * with a null; all cached, so that a split before the checks would show
-    * as a Spark job.
+  /** Two 2x2 driver-local relations `r` and `s`, valid arguments of every
+    * op, and `r` with a null.
     */
-  private def withCachedArgs(body: (DataFrame, DataFrame, DataFrame) => Unit): Unit = {
+  private lazy val (argR, argS, argWithNull) = {
     def rel(key: String, rows: Seq[Seq[Any]]) =
-      cached(makeDf(Seq(key -> StringType, "a" -> DoubleType, "b" -> DoubleType), rows))
-    val r = rel("k", Seq(Seq("r1", 4.0, 1.0), Seq("r2", 1.0, 3.0)))
-    val s = rel("m", Seq(Seq("s1", 2.0, -1.0), Seq("s2", 1.0, 2.0)))
-    val withNull = rel("k", Seq(Seq("r1", 4.0, 1.0), Seq("r2", null, 3.0)))
-    try body(r, s, withNull) finally Seq(r, s, withNull).foreach(_.unpersist())
+      makeDf(Seq(key -> StringType, "a" -> DoubleType, "b" -> DoubleType), rows)
+    (rel("k", Seq(Seq("r1", 4.0, 1.0), Seq("r2", 1.0, 3.0))),
+      rel("m", Seq(Seq("s1", 2.0, -1.0), Seq("s2", 1.0, 2.0))),
+      rel("k", Seq(Seq("r1", 4.0, 1.0), Seq("r2", null, 3.0))))
   }
+
+  /** The arguments cached, so that a split before the checks would show as
+    * a Spark job.
+    */
+  private def withCachedArgs(body: (DataFrame, DataFrame, DataFrame) => Unit): Unit =
+    onRoute(distributed = true)(in => body(in(argR), in(argS), in(argWithNull)))
 
   test("a missing order attribute names the op and runs no Spark job, for every op and argument") {
     withCachedArgs { (r, s, _) =>
-      for (op <- OpSpec.all; bad <- 0 until op.arity) withClue(s"${op.name}, argument $bad: ") {
+      for (op <- Rma.all; bad <- 0 until op.arity) withClue(s"${op.name}, argument $bad: ") {
         val args = Seq(r -> Seq("k"), s -> Seq("m")).take(op.arity)
         var e: IllegalArgumentException = null
         val jobs = SparkJobs.count(spark) {
@@ -137,12 +139,11 @@ class ErrorsSpec extends RmaFixtures {
   }
 
   test("a null in a cached input names the op, for every op on both element-wise routes") {
-    withCachedArgs { (_, s, withNull) =>
-      for (op <- OpSpec.all; distributed <- Seq(true, false)) withClue(s"${op.name}, distributed = $distributed: ") {
+    onBothRoutes { in =>
+      val (s, withNull) = (in(argS), in(argWithNull))
+      for (op <- Rma.all) withClue(s"${op.name}: ") {
         val args = Seq(withNull -> Seq("k"), s -> Seq("m")).take(op.arity)
-        val e = intercept[IllegalArgumentException] {
-          Rma.eval(op, args, RmaConfig(distributedElementwise = distributed))
-        }
+        val e = intercept[IllegalArgumentException] { Rma.eval(op, args) }
         assert(e.getMessage.contains(s"${op.name}: null in application attribute a"))
       }
     }
@@ -168,7 +169,6 @@ class ErrorsSpec extends RmaFixtures {
     def chf(x: ColMatrix): ColMatrix = count("chf")(b.chf(x))
     def qr(x: ColMatrix): (ColMatrix, ColMatrix) = count("qr")(b.qr(x))
     def svd(x: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = count("svd")(b.svd(x))
-    def svdFullU(x: ColMatrix): ColMatrix = count("svdFullU")(b.svdFullU(x))
     def eig(x: ColMatrix): (Array[Double], ColMatrix) = count("eig")(b.eig(x))
     def sol(x: ColMatrix, y: ColMatrix): ColMatrix = count("sol")(b.sol(x, y))
   }

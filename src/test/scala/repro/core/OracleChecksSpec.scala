@@ -24,21 +24,26 @@ class OracleChecksSpec extends RmaFixtures {
 
   for (distributed <- Seq(true, false)) {
     val mode = if (distributed) "distributed" else "collect"
-    val cfg = RmaConfig(distributedElementwise = distributed)
 
     test(s"add matches DuckDB ($mode path)") {
-      Oracle.assertEquivalent(Rma.add(r, Seq("k"), s, Seq("k2"), cfg), rankJoinSql("+"),
-        "r" -> r, "s" -> s)
+      onRoute(distributed) { in =>
+        Oracle.assertEquivalent(Rma.add(in(r), Seq("k"), in(s), Seq("k2")), rankJoinSql("+"),
+          "r" -> r, "s" -> s)
+      }
     }
 
     test(s"sub matches DuckDB ($mode path)") {
-      Oracle.assertEquivalent(Rma.sub(r, Seq("k"), s, Seq("k2"), cfg), rankJoinSql("-"),
-        "r" -> r, "s" -> s)
+      onRoute(distributed) { in =>
+        Oracle.assertEquivalent(Rma.sub(in(r), Seq("k"), in(s), Seq("k2")), rankJoinSql("-"),
+          "r" -> r, "s" -> s)
+      }
     }
 
     test(s"emu matches DuckDB ($mode path)") {
-      Oracle.assertEquivalent(Rma.emu(r, Seq("k"), s, Seq("k2"), cfg), rankJoinSql("*"),
-        "r" -> r, "s" -> s)
+      onRoute(distributed) { in =>
+        Oracle.assertEquivalent(Rma.emu(in(r), Seq("k"), in(s), Seq("k2")), rankJoinSql("*"),
+          "r" -> r, "s" -> s)
+      }
     }
   }
 

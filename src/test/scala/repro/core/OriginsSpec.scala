@@ -82,7 +82,7 @@ class OriginsSpec extends RmaFixtures {
 
   test("ShapeType table matches paper Table 1") {
     import Dim._
-    def shape(op: String) = OpSpec.byName(op).shape
+    def shape(op: String) = Rma.byName(op).shape
     assert(shape("mmu") == ShapeType(R1, C2))
     assert(shape("tra") == ShapeType(C1, R1))
     assert(shape("add") == ShapeType(RStar, CStar))
@@ -90,13 +90,13 @@ class OriginsSpec extends RmaFixtures {
     assert(shape("usv") == ShapeType(R1, R1))
     assert(shape("opd") == ShapeType(R1, R2))
     assert(shape("sol") == ShapeType(C1, C2))
-    assert(OpSpec.byName.size == 19)
+    assert(Rma.byName.size == 19)
   }
 
   test("row-context preservation classification (paper §8.1 note)") {
     import Dim._
     // The result keeps an input's row origin when its rows are an input's rows.
-    def preservesRowContext(op: String) = Set[Dim](R1, R2, RStar).contains(OpSpec.byName(op).shape.rows)
+    def preservesRowContext(op: String) = Set[Dim](R1, R2, RStar).contains(Rma.byName(op).shape.rows)
     // cpd, sol, rqr, dsv, tra, det, rnk do not preserve row context
     val noRow = Seq("cpd", "sol", "rqr", "dsv", "tra", "det", "rnk", "vsv")
     noRow.foreach(op => assert(!preservesRowContext(op), op))

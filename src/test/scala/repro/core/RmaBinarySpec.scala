@@ -98,49 +98,59 @@ class RmaBinarySpec extends RmaFixtures {
 
   for (distributed <- Seq(true, false)) {
     val mode = if (distributed) "distributed" else "collect"
-    val cfg = RmaConfig(distributedElementwise = distributed)
 
     test(s"add ($mode): schema U + V + application schema of r (shape (r*,c*))") {
-      val p = Rma.add(r2, Seq("k"), s2, Seq("m"), cfg)
-      assert(p.columns.toSeq == Seq("k", "m", "a", "b"))
-      assertDfClose(p, Seq(
-        Seq("r1", "s1", 6.0, 8.0),
-        Seq("r2", "s2", 10.0, 12.0)))
+      onRoute(distributed) { in =>
+        val p = Rma.add(in(r2), Seq("k"), in(s2), Seq("m"))
+        assert(p.columns.toSeq == Seq("k", "m", "a", "b"))
+        assertDfClose(p, Seq(
+          Seq("r1", "s1", 6.0, 8.0),
+          Seq("r2", "s2", 10.0, 12.0)))
+      }
     }
 
     test(s"sub ($mode): values align by the respective sort orders") {
-      val p = Rma.sub(s2, Seq("m"), r2, Seq("k"), cfg)
-      assertDfClose(p, Seq(
-        Seq("s1", "r1", 4.0, 4.0),
-        Seq("s2", "r2", 4.0, 4.0)))
+      onRoute(distributed) { in =>
+        val p = Rma.sub(in(s2), Seq("m"), in(r2), Seq("k"))
+        assertDfClose(p, Seq(
+          Seq("s1", "r1", 4.0, 4.0),
+          Seq("s2", "r2", 4.0, 4.0)))
+      }
     }
 
     test(s"emu ($mode): element-wise product") {
-      val p = Rma.emu(r2, Seq("k"), s2, Seq("m"), cfg)
-      assertDfClose(p, Seq(
-        Seq("r1", "s1", 5.0, 12.0),
-        Seq("r2", "s2", 21.0, 32.0)))
+      onRoute(distributed) { in =>
+        val p = Rma.emu(in(r2), Seq("k"), in(s2), Seq("m"))
+        assertDfClose(p, Seq(
+          Seq("r1", "s1", 5.0, 12.0),
+          Seq("r2", "s2", 21.0, 32.0)))
+      }
     }
 
     test(s"add ($mode) rejects overlapping order schemas") {
-      val e = intercept[IllegalArgumentException] {
-        Rma.add(r2, Seq("k"), rel("k", Seq(Seq("z1", 1.0, 1.0), Seq("z2", 1.0, 1.0)), Seq("x", "y")), Seq("k"), cfg)
+      onRoute(distributed) { in =>
+        val e = intercept[IllegalArgumentException] {
+          Rma.add(in(r2), Seq("k"),
+            in(rel("k", Seq(Seq("z1", 1.0, 1.0), Seq("z2", 1.0, 1.0)), Seq("x", "y"))), Seq("k"))
+        }
+        assert(e.getMessage.contains("overlap"))
       }
-      assert(e.getMessage.contains("overlap"))
     }
 
     test(s"add ($mode) rejects non-union-compatible application schemas") {
-      val narrow = rel("m", Seq(Seq("s1", 1.0), Seq("s2", 2.0)), Seq("x"))
-      val e = intercept[IllegalArgumentException] { Rma.add(r2, Seq("k"), narrow, Seq("m"), cfg) }
-      assert(e.getMessage.toLowerCase.contains("union compatible"))
+      onRoute(distributed) { in =>
+        val narrow = rel("m", Seq(Seq("s1", 1.0), Seq("s2", 2.0)), Seq("x"))
+        val e = intercept[IllegalArgumentException] { Rma.add(in(r2), Seq("k"), in(narrow), Seq("m")) }
+        assert(e.getMessage.toLowerCase.contains("union compatible"))
+      }
     }
   }
 
   test("add: distributed and collect paths agree on a larger relation") {
     val a = repro.SynthData.wideRelation(spark, 1000, 5, seed = 21, keyName = "k")
     val b = repro.SynthData.wideRelation(spark, 1000, 5, seed = 22, keyName = "k2")
-    val d = Rma.add(a, Seq("k"), b, Seq("k2"), RmaConfig(distributedElementwise = true))
-    val c = Rma.add(a, Seq("k"), b, Seq("k2"), RmaConfig(distributedElementwise = false))
+    val d = Rma.add(a, Seq("k"), b, Seq("k2"))
+    val c = Rma.add(driverLocal(a), Seq("k"), driverLocal(b), Seq("k2"))
     val dm = collectMatrix(d, Seq("k", "k2"))
     val cm = collectMatrix(c, Seq("k", "k2"))
     assertClose(dm, cm, 1e-9)

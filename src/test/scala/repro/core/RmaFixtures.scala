@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.repro.InternalDF
 import org.apache.spark.sql.types._
 
 import repro.SparkSpec
@@ -48,8 +49,39 @@ trait RmaFixtures extends SparkSpec {
       Seq(keyName -> StringType, "x" -> DoubleType, "y" -> DoubleType),
       rows.zipWithIndex.map { case ((a, b), i) => Seq(f"$prefix${i + 1}%02d", a, b) })
 
-  /** `df` cached and materialised, so that reading it again is a Spark job. */
+  /** `df` cached and materialised, so that reading it again is a Spark job.
+    * It caches the plan in place: any relation with the same plan, such as a
+    * driver-local one with the same rows, reads the cache from then on.
+    */
   def cached(df: DataFrame): DataFrame = { df.cache().count(); df }
+
+  /** The rows of `df` in a cached relation with a plan of its own (an RDD),
+    * so that `df` itself stays as it is.
+    */
+  def cachedCopy(df: DataFrame): DataFrame = cached(spark.createDataFrame(df.rdd, df.schema))
+
+  /** The rows of `df` held on the driver (a `LocalRelation`). */
+  def driverLocal(df: DataFrame): DataFrame =
+    InternalDF.createLocal(spark, df.schema, InternalDF.collectInternal(df).toSeq)
+
+  /** Runs `body` on one element-wise route, which the inputs pick: `input`
+    * passes a driver-local relation through for the collect route, or gives
+    * a cached copy of its rows for the distributed route. The copies are
+    * uncached afterwards.
+    */
+  def onRoute(distributed: Boolean)(body: (DataFrame => DataFrame) => Unit): Unit = {
+    val copies = scala.collection.mutable.ArrayBuffer.empty[DataFrame]
+    def input(df: DataFrame): DataFrame = {
+      assert(InternalDF.isDriverLocal(df), "a test input that is not driver-local")
+      if (!distributed) df else { val c = cachedCopy(df); copies += c; c }
+    }
+    try body(input) finally copies.foreach(_.unpersist())
+  }
+
+  /** Runs `body` on the distributed, then on the collect route. */
+  def onBothRoutes(body: (DataFrame => DataFrame) => Unit): Unit =
+    for (distributed <- Seq(true, false))
+      withClue(if (distributed) "cached inputs: " else "driver-local inputs: ")(onRoute(distributed)(body))
 
   def collectMatrix(df: DataFrame, order: Seq[String]): ColMatrix =
     Constructors.collectSplit(df, order).matrix

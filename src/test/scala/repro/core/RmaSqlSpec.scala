@@ -189,6 +189,24 @@ class RmaSqlSpec extends RmaFixtures {
     }
   }
 
+  test("nested element-wise SQL over op results runs no job beyond its table splits") {
+    val (a, b) = (cachedCopy(spd), cachedCopy(sq))
+    a.createOrReplaceTempView("ew_a")
+    b.createOrReplaceTempView("ew_b")
+    try {
+      var sum: DataFrame = null
+      val jobs = SparkJobs.count(spark) {
+        sum = RmaSql.sql(spark, "SELECT * FROM ADD(INV(ew_a BY k) BY k, INV(ew_b BY k2) BY k2)")
+      }
+      assert(jobs == 2, "one job per cached table, none for the add of the nested results")
+      val viaApi = Rma.add(Rma.inv(spd, Seq("k")), Seq("k"), Rma.inv(sq, Seq("k2")), Seq("k2"))
+      assertDfClose(sum, viaApi.collect().map(_.toSeq).toSeq)
+    } finally {
+      Seq("ew_a", "ew_b").foreach(spark.catalog.dropTempView)
+      a.unpersist(); b.unpersist()
+    }
+  }
+
   test("quotes and comments before FROM do not hide the RMA call") {
     Rma.inv(spd, Seq("k")).createOrReplaceTempView("inv_spd")
     Rma.mmu(spd, Seq("k"), sq, Seq("k2")).createOrReplaceTempView("mmu_spd_sq")
@@ -211,11 +229,11 @@ class RmaSqlSpec extends RmaFixtures {
   }
 
   test("the operator API covers the whole operator table") {
-    assert(api.keySet == OpSpec.all.map(_.name).toSet)
-    assert(OpSpec.all.length == 19)
+    assert(api.keySet == Rma.all.map(_.name).toSet)
+    assert(Rma.all.length == 19)
   }
 
-  for (op <- OpSpec.all) {
+  for (op <- Rma.all) {
     test(s"SQL and the operator API give the same relation: ${op.name}") {
       val args = Seq(spd -> Seq("k"), sq -> Seq("k2")).take(op.arity)
       val text = Seq("spd BY k", "sq BY k2").take(op.arity).mkString(s"${op.name.toUpperCase}(", ", ", ")")

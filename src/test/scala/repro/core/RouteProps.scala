@@ -15,19 +15,18 @@ import repro.matrix.ColumnarBackend
 /** Route differential: add, sub and emu give the same relation, or the same
   * error message, on the distributed and on the collect element-wise route,
   * and the columnar and Breeze backends agree on the collect route. Inputs
-  * are small relations, driver-local or cached, with keys drawn from small
-  * domains (so that duplicates, -0.0 = 0.0 and NaN keys come up), nulls and
-  * unequal row counts.
+  * are small relations with keys drawn from small domains (so that
+  * duplicates, -0.0 = 0.0 and NaN keys come up), nulls and unequal row
+  * counts. The inputs pick the route: the pair held on the driver takes the
+  * collect route, cached copies of the same rows the distributed one.
   */
 object RouteProps extends Properties("Routes") {
   import Prop.{forAll, propBoolean}
 
   override def overrideParameters(p: Test.Parameters): Test.Parameters = p.withMinSuccessfulTests(25)
 
-  /** One input: attribute names and types (order attributes first), rows,
-    * and whether it is cached.
-    */
-  final case class Input(fields: Seq[(String, DataType)], nOrder: Int, rows: Seq[Seq[Any]], cached: Boolean) {
+  /** One input: attribute names and types (order attributes first) and rows. */
+  final case class Input(fields: Seq[(String, DataType)], nOrder: Int, rows: Seq[Seq[Any]]) {
     def order: Seq[String] = fields.take(nOrder).map(_._1)
   }
 
@@ -63,12 +62,11 @@ object RouteProps extends Properties("Routes") {
     keys = (if (repeat) picked.init :+ picked.head else picked).toSeq.map(key._2)
     nulls <- Gen.frequency(4 -> Gen.const(false), 1 -> Gen.const(true))
     values <- Gen.listOfN(n, Gen.sequence[List[Any], Any](appTypes.map(value(_, nulls))))
-    cached <- Gen.oneOf(false, true)
   } yield Input(names.zip(key._1) ++ appNames.zip(appTypes), key._1.length,
-    keys.zip(values).map { case (k, v) => k ++ v }, cached)
+    keys.zip(values).map { case (k, v) => k ++ v })
 
   private val cases: Gen[(OpSpec, Input, Input)] = for {
-    op <- Gen.oneOf(OpSpec.add, OpSpec.sub, OpSpec.emu)
+    op <- Gen.oneOf(Rma.add, Rma.sub, Rma.emu)
     key <- Gen.oneOf(keyTypes)
     width <- Gen.choose(1, 2)
     rTypes <- Gen.listOfN(width, Gen.oneOf(DoubleType, IntegerType, decimal))
@@ -79,10 +77,11 @@ object RouteProps extends Properties("Routes") {
     s <- input(Seq("m", "m2"), key, (0 until width).map(j => s"b$j"), sTypes, nS)
   } yield (op, r, s)
 
-  private def relation(in: Input): DataFrame = {
+  /** The input's rows held on the driver, or cached. */
+  private def relation(in: Input, cached: Boolean): DataFrame = {
     val spark = SparkSpec.shared
     val schema = StructType(in.fields.map { case (n, t) => StructField(n, t, nullable = true) })
-    if (!in.cached) spark.createDataFrame(in.rows.map(Row.fromSeq).asJava, schema)
+    if (!cached) spark.createDataFrame(in.rows.map(Row.fromSeq).asJava, schema)
     else {
       val df = spark.createDataFrame(spark.sparkContext.parallelize(in.rows.map(Row.fromSeq), 2), schema).cache()
       df.count()
@@ -107,17 +106,19 @@ object RouteProps extends Properties("Routes") {
 
   property("add/sub/emu: same relation or same message on both routes and backends") = forAll(cases) {
     case (op, rIn, sIn) =>
-      val (r, s) = (relation(rIn), relation(sIn))
+      val (r, s) = (relation(rIn, cached = false), relation(sIn, cached = false))
+      val (rCached, sCached) = (relation(rIn, cached = true), relation(sIn, cached = true))
       try {
-        def on(cfg: RmaConfig) = outcome(Rma.eval(op, Seq(r -> rIn.order, s -> sIn.order), cfg))
-        val distributed = on(RmaConfig(distributedElementwise = true))
-        val collect = on(RmaConfig(distributedElementwise = false))
-        val columnar = on(RmaConfig(backend = ColumnarBackend, distributedElementwise = false))
+        def on(r: DataFrame, s: DataFrame, cfg: RmaConfig = RmaConfig.default) =
+          outcome(Rma.eval(op, Seq(r -> rIn.order, s -> sIn.order), cfg))
+        val distributed = on(rCached, sCached)
+        val collect = on(r, s)
+        val columnar = on(r, s, RmaConfig(backend = ColumnarBackend))
         val kind = collect.fold(_.replaceAll(".*: (null|order schema|row counts).*", "$1"), _ => "relation")
         Prop.collect(kind) {
           (distributed == collect) :| s"distributed $distributed, collect $collect" &&
             (collect == columnar) :| s"Breeze $collect, columnar $columnar"
         }
-      } finally { r.unpersist(); s.unpersist() }
+      } finally { rCached.unpersist(); sCached.unpersist() }
   }
 }

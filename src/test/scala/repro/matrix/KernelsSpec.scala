@@ -262,7 +262,7 @@ class KernelsSpec extends AnyFunSuite {
 
   test("svdFullU is square and orthonormal") {
     val a = rnd(6, 2, 123)
-    val uf = Kernels.svdFullU(a)
+    val uf = Kernels.completeToSquare(Kernels.svd(a)._1)
     assert(uf.nRows == 6 && uf.nCols == 6)
     assert(isOrthonormalCols(uf, 1e-8))
   }
