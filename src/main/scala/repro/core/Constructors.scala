@@ -2,8 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.{Ascending, BoundReference, GenericInternalRow, JoinedRow,
-  RowOrdering, SortOrder, UnsafeProjection}
+import org.apache.spark.sql.catalyst.expressions.{Ascending, BoundReference, Cast, GenericInternalRow,
+  JoinedRow, RowOrdering, SortOrder, UnsafeProjection}
 import org.apache.spark.sql.catalyst.expressions.codegen.LazilyGeneratedOrdering
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.repro.InternalDF
@@ -98,12 +98,22 @@ object Constructors {
   def collectSplit(df: DataFrame, order: Seq[String]): SplitRelation = {
     val (u, app) = resolveSchemas(df, order)
     val fields = u.map(c => df.schema(c))
-    // A relation that already reads U, then doubles (such as an op's result) is
-    // collected as it is: over a LocalRelation, Spark evaluates a select row by
-    // row at a cost quadratic in the width (ConvertToLocalRelation).
+    // Unless the relation already reads U, then doubles (such as an op's
+    // result), it is reordered and cast: a cached one by a select, in the
+    // executors' tasks; a driver-local one on the driver, as over a
+    // LocalRelation Spark evaluates a select row by row at a cost quadratic
+    // in the width (ConvertToLocalRelation). A LocalRelation's collect returns
+    // the array its plan keeps, so the rows are sorted, and replaced, in a copy.
     val asIs = df.columns.toSeq == u ++ app && app.forall(c => df.schema(c).dataType == DoubleType)
-    val rows = InternalDF.collectInternal(
-      if (asIs) df else df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*))
+    val onDriver = !asIs && InternalDF.isDriverLocal(df)
+    val rows = InternalDF.collectInternal(if (asIs || onDriver) df
+      else df.select((u.map(col) ++ app.map(c => col(c).cast(DoubleType))): _*)).clone()
+    if (onDriver) {
+      def at(c: String) = BoundReference(df.schema.fieldIndex(c), df.schema(c).dataType, df.schema(c).nullable)
+      val toSplit = UnsafeProjection.create(u.map(at) ++ app.map(c => Cast(at(c), DoubleType)))
+      var i = 0
+      while (i < rows.length) { rows(i) = toSplit(rows(i)).copy(); i += 1 }
+    }
     val (byKey, uTypes) = (ascending(fields), fields.map(_.dataType))
     java.util.Arrays.parallelSort(rows, byKey)
     requireValid(Seq(scan(rows.iterator, byKey, uTypes, app.length)), u, app)

@@ -125,8 +125,9 @@ object Rma {
     * distinct argument once (the split gives the row count), runs the op's
     * kernel on `cfg.backend`, and builds the result with the relation
     * constructor that the op's shape type selects (paper Tables 2 and 3). A
-    * failed check, schema, key or null names the op:
-    * `requirement failed: <op>: <reason>`.
+    * failed check, schema, key or null, and a clash of result attribute
+    * names, names the op: `requirement failed: <op>: <reason>`. Kernel
+    * errors are raised as the kernel words them.
     */
   def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])],
            cfg: RmaConfig = RmaConfig.default): DataFrame = eval(op, args, cfg, new Splits)
@@ -143,7 +144,7 @@ object Rma {
           check(ranked.map(x => new Arg(x.u, x.app, x.nRows)))
           ranked
         }
-        elementwiseDistributed(r, s, combine)
+        named(op)(elementwiseDistributed(r, s, combine))
       case None =>
         val sp = named(op) {
           check(args.map { case (df, u) =>
@@ -152,7 +153,8 @@ object Rma {
           })
           args.map { case (df, u) => splits(df, u) }
         }
-        relation(args.head._1.sparkSession, op, sp, op.kernel(cfg.backend, sp.map(_.matrix)))
+        val base = op.kernel(cfg.backend, sp.map(_.matrix))
+        named(op)(relation(args.head._1.sparkSession, op, sp, base))
     }
   }
 
@@ -191,7 +193,7 @@ object Rma {
                        base: ColMatrix): DataFrame = {
     val (r, s) = (sp.head, sp.last)
     def none(d: Dim) =
-      throw new IllegalArgumentException(s"${op.name}: shape type ${op.shape} has no constructor for $d")
+      throw new IllegalArgumentException(s"shape type ${op.shape} has no constructor for $d")
     val names = op.shape.cols match {
       case C1 | CStar => r.appCols
       case C2         => s.appCols

@@ -100,23 +100,7 @@ object Kernels {
   def opd(a: ColMatrix, b: ColMatrix): ColMatrix = {
     require(a.nCols == b.nCols,
       s"opd: column counts differ (${a.nCols} vs ${b.nCols})")
-    val out = Array.ofDim[Array[Double]](b.nRows)
-    var j = 0
-    while (j < b.nRows) {
-      val c = new Array[Double](a.nRows)
-      var l = 0
-      while (l < a.nCols) {
-        val al = a.cols(l); val w = b.cols(l)(j)
-        if (w != 0.0) {
-          var i = 0
-          while (i < a.nRows) { c(i) += al(i) * w; i += 1 }
-        }
-        l += 1
-      }
-      out(j) = c
-      j += 1
-    }
-    new ColMatrix(out, a.nRows)
+    mmu(a, b.transpose)
   }
 
   private def dot(x: Array[Double], y: Array[Double]): Double = {

@@ -97,7 +97,17 @@ class ErrorsSpec extends RmaFixtures {
     val df = makeDf(Seq("k" -> StringType, "a" -> DoubleType),
       Seq(Seq("C", 1.0), Seq("D", 2.0)))
     val e = intercept[IllegalArgumentException] { Rma.tra(df, Seq("k")) }
-    assert(e.getMessage.contains("duplicate"))
+    assert(e.getMessage.contains("tra: result relation would have duplicate attribute names"))
+  }
+
+  test("a clash of result attribute names names the op on both element-wise routes") {
+    // The result reads T, H (s's order attribute), then weather's H and W.
+    val s = makeDf(Seq("H" -> StringType, "x" -> DoubleType, "y" -> DoubleType),
+      Seq(Seq("a", 1.0, 2.0), Seq("b", 3.0, 4.0), Seq("c", 5.0, 6.0), Seq("d", 7.0, 8.0)))
+    onBothRoutes { in =>
+      val e = intercept[IllegalArgumentException] { Rma.add(in(weather), Seq("T"), in(s), Seq("H")) }
+      assert(e.getMessage.contains("add: result relation would have duplicate attribute names"))
+    }
   }
 
   test("cpd row-count mismatch is reported") {

@@ -38,6 +38,9 @@ class MatrixConstructorSpec extends RmaFixtures {
       Seq("g", "i")),
     ("null key", Seq("k" -> StringType, "a" -> DoubleType),
       Seq(Seq("x", 1.0), Seq(null, 2.0), Seq("a", 3.0)),
+      Seq("k")),
+    ("1000 integer attributes, key last", (1 to 1000).map(j => s"a$j" -> IntegerType) :+ ("k" -> IntegerType),
+      (0 until 200).map(i => (1 to 1000).map(j => (i * 31 + j) % 97 - 48) :+ i * 7 % 200),
       Seq("k")))
 
   private def cached(schema: Seq[(String, DataType)], rows: Seq[Seq[Any]]): DataFrame = {
@@ -77,6 +80,21 @@ class MatrixConstructorSpec extends RmaFixtures {
           assert(sp.matrix.row(i).toSeq.map(bits) == app, s"application part, row $i")
         }
       } finally df.unpersist()
+    }
+  }
+
+  test("collectSplit leaves a driver-local relation's rows as they were") {
+    val inputs = Seq(
+      makeDf(Seq("a" -> IntegerType, "k" -> IntegerType), Seq(Seq(1, 3), Seq(2, 1), Seq(3, 2))),
+      makeDf(Seq("k" -> IntegerType, "a" -> DoubleType), Seq(Seq[Any](3, 1.0), Seq[Any](1, 2.0), Seq[Any](2, 3.0))))
+    for (df <- inputs) withClue(df.columns.mkString("attributes ", ", ", ": ")) {
+      def rows = df.collect().toSeq
+      val before = rows
+      val first = Constructors.collectSplit(df, Seq("k"))
+      assert(rows == before)
+      val second = Constructors.collectSplit(df, Seq("k"))
+      assert(second.orderRows.map(_.toSeq).toSeq == first.orderRows.map(_.toSeq).toSeq)
+      assert(second.matrix.cols.map(_.toSeq).toSeq == first.matrix.cols.map(_.toSeq).toSeq)
     }
   }
 

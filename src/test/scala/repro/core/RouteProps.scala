@@ -14,6 +14,7 @@ import repro.matrix.ColumnarBackend
 
 /** Route differential: add, sub and emu give the same relation, or the same
   * error message, on the distributed and on the collect element-wise route,
+  * through the operator API and through SQL over temp views of the inputs,
   * and the columnar and Breeze backends agree on the collect route. Inputs
   * are small relations with keys drawn from small domains (so that
   * duplicates, -0.0 = 0.0 and NaN keys come up), nulls and unequal row
@@ -111,14 +112,26 @@ object RouteProps extends Properties("Routes") {
       try {
         def on(r: DataFrame, s: DataFrame, cfg: RmaConfig = RmaConfig.default) =
           outcome(Rma.eval(op, Seq(r -> rIn.order, s -> sIn.order), cfg))
+        def viaSql(r: DataFrame, s: DataFrame) = {
+          r.createOrReplaceTempView("routes_r")
+          s.createOrReplaceTempView("routes_s")
+          outcome(RmaSql.expr(SparkSpec.shared,
+            s"${op.name}(routes_r BY ${rIn.order.mkString(", ")}, routes_s BY ${sIn.order.mkString(", ")})"))
+        }
         val distributed = on(rCached, sCached)
         val collect = on(r, s)
         val columnar = on(r, s, RmaConfig(backend = ColumnarBackend))
+        val (sqlDistributed, sqlCollect) = (viaSql(rCached, sCached), viaSql(r, s))
         val kind = collect.fold(_.replaceAll(".*: (null|order schema|row counts).*", "$1"), _ => "relation")
         Prop.collect(kind) {
           (distributed == collect) :| s"distributed $distributed, collect $collect" &&
-            (collect == columnar) :| s"Breeze $collect, columnar $columnar"
+            (collect == columnar) :| s"Breeze $collect, columnar $columnar" &&
+            (sqlDistributed == distributed) :| s"API $distributed, SQL $sqlDistributed (distributed)" &&
+            (sqlCollect == collect) :| s"API $collect, SQL $sqlCollect (collect)"
         }
-      } finally { rCached.unpersist(); sCached.unpersist() }
+      } finally {
+        Seq("routes_r", "routes_s").foreach(SparkSpec.shared.catalog.dropTempView)
+        rCached.unpersist(); sCached.unpersist()
+      }
   }
 }

@@ -34,8 +34,7 @@ class LocalFrameSpec extends RmaFixtures {
   test("LocalR.qqr equals the RMA qqr base result") {
     val f = LocalFrame.fromDF(weather)
     val t = LocalR.qqr(f, "T", Seq("H", "W"))
-    assert(t.convertSec >= 0 && t.computeSec >= 0)
-    val m = t.result.toColMatrix(Seq("H", "W"))
+    val m = t.toColMatrix(Seq("H", "W"))
     assertClose(m, Kernels.qr(collectMatrix(weather, Seq("T")))._1, 1e-9)
   }
 
