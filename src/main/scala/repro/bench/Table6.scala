@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
 import repro.core.{Rma, RmaConfig}
-import repro.matrix.{BreezeBackend, ColumnarBackend}
+import repro.matrix.{BreezeBackend, Kernels}
 import repro.rbaseline.{LocalFrame, LocalR}
 
 /** Paper Table 6: runtimes of `qqr` in R and RMA+.
@@ -44,7 +44,7 @@ object Table6 {
           attrCounts: Seq[Int] = Seq(10, 40, 70),
           batMaxRows: Long = 500000L): Seq[Result] = {
     val mkl = RmaConfig(backend = BreezeBackend)
-    val bat = RmaConfig(backend = ColumnarBackend)
+    val bat = RmaConfig(backend = Kernels)
     // JIT warmup of all three systems on a small instance, not reported.
     locally {
       val w = SynthData.wideRelation(spark, 50000L, 10, seed = 5, keyName = "k")

@@ -26,7 +26,8 @@ final case class Precondition(holds: Seq[Arg] => Boolean, why: Seq[Arg] => Strin
   * themselves are the table [[Rma]]; each applies like a method,
   * `Rma.inv(r, U)` or `Rma.add(r, U, s, V, cfg)`.
   *
-  * @param kernel  base result from the arguments' application parts
+  * @param kernel  base result from the arguments' application parts, on
+  *                the configured backend (add, sub and emu ignore it)
   * @param preconditions the kernel's own conditions and those the shape
   *                type implies, in the order they are checked
   * @param combine Catalyst column combiner of the distributed element-wise
@@ -108,7 +109,7 @@ object OpSpec {
     new BinaryOp(name, ShapeType(rows, cols), (b, m) => k(b, m(0), m(1)), withShape(rows, cols, pre), None)
 
   private[core] def elementwise(name: String, combine: (Column, Column) => Column)(
-      k: (MatrixBackend, ColMatrix, ColMatrix) => ColMatrix): BinaryOp =
-    new BinaryOp(name, ShapeType(RStar, CStar), (b, m) => k(b, m(0), m(1)),
+      k: (ColMatrix, ColMatrix) => ColMatrix): BinaryOp =
+    new BinaryOp(name, ShapeType(RStar, CStar), (_, m) => k(m(0), m(1)),
       withShape(RStar, CStar, Nil), Some(combine))
 }

@@ -4,15 +4,17 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.repro.InternalDF
 
 import repro.core.Constructors.SplitRelation
-import repro.matrix.{BreezeBackend, ColMatrix, ColumnarBackend, Kernels, MatrixBackend}
+import repro.matrix.{BreezeBackend, ColMatrix, Kernels, MatrixBackend}
 
 /** Execution configuration for relational matrix operations. Order schemas
   * are always checked to be keys, and inputs are always sorted. The input,
   * not the configuration, picks the element-wise route ([[Rma.eval]]).
   *
-  * @param backend physical kernel backend for base results. [[BreezeBackend]]
-  *                is the RMA+MKL analog (copy + library call),
-  *                [[ColumnarBackend]] the RMA+BAT analog (no-copy column
+  * @param backend physical kernel backend for the base results of the 16
+  *                ops that are not element-wise; add, sub and emu always
+  *                run on [[Kernels]], as RMA+ keeps them on BATs.
+  *                [[BreezeBackend]] is the RMA+MKL analog (copy + library
+  *                call), [[Kernels]] the RMA+BAT analog (no-copy column
   *                kernels). Mirrors the paper's policy of choosing per query.
   */
 final case class RmaConfig(backend: MatrixBackend = BreezeBackend) {
@@ -52,7 +54,10 @@ object Rma {
   import Dim._
   import OpSpec._
 
-  private def scalar(v: Double): ColMatrix = ColMatrix.fromVector(Array(v))
+  /** A 1x1 base result; adding 0.0 turns -0.0 into 0.0, so a singular
+    * matrix's det reads 0.0 on both backends.
+    */
+  private def scalar(v: Double): ColMatrix = ColMatrix.fromVector(Array(v + 0.0))
 
   /** Matrix inversion (shape (r1,c1)). */
   val inv: UnaryOp = unary("inv", R1, C1, square)(_.inv(_))
@@ -99,11 +104,11 @@ object Rma {
     */
   val sol: BinaryOp = binary("sol", C1, C2, sameRows)(_.sol(_, _))
   /** Element-wise addition (shape (r*,c*)): schema U ∘ V ∘ Ū. */
-  val add: BinaryOp = elementwise("add", _ + _)(_.add(_, _))
+  val add: BinaryOp = elementwise("add", _ + _)(Kernels.add)
   /** Element-wise subtraction (shape (r*,c*)). */
-  val sub: BinaryOp = elementwise("sub", _ - _)(_.sub(_, _))
+  val sub: BinaryOp = elementwise("sub", _ - _)(Kernels.sub)
   /** Element-wise multiplication (shape (r*,c*)). */
-  val emu: BinaryOp = elementwise("emu", _ * _)(_.emu(_, _))
+  val emu: BinaryOp = elementwise("emu", _ * _)(Kernels.emu)
 
   /** The operator table: all 19 ops of the algebra. */
   val all: Seq[OpSpec] =
@@ -123,11 +128,11 @@ object Rma {
     * shuffle. It takes *every* argument because the split collects each
     * input before the row counts are compared. Every other call splits each
     * distinct argument once (the split gives the row count), runs the op's
-    * kernel on `cfg.backend`, and builds the result with the relation
-    * constructor that the op's shape type selects (paper Tables 2 and 3). A
-    * failed check, schema, key or null, and a clash of result attribute
-    * names, names the op: `requirement failed: <op>: <reason>`. Kernel
-    * errors are raised as the kernel words them.
+    * kernel (on `cfg.backend`, except add/sub/emu), and builds the result
+    * with the relation constructor that the op's shape type selects (paper
+    * Tables 2 and 3). Every fault of the call, a failed check (schema, key,
+    * null), a kernel fault or a clash of result attribute names, names the
+    * op: `requirement failed: <op>: <reason>`.
     */
   def eval(op: OpSpec, args: Seq[(DataFrame, Seq[String])],
            cfg: RmaConfig = RmaConfig.default): DataFrame = eval(op, args, cfg, new Splits)
@@ -137,24 +142,20 @@ object Rma {
                          splits: Splits): DataFrame = {
     op.requireArity(args.length)
     def check(a: Seq[Arg]): Unit = op.preconditions.foreach(p => require(p.holds(a), p.why(a)))
-    op.combine.filter(_ => !args.forall { case (df, _) => InternalDF.isDriverLocal(df) }) match {
-      case Some(combine) =>
-        val Seq(r, s) = named(op) {
-          val ranked = args.map { case (df, u) => new Ranked(df, u) }
-          check(ranked.map(x => new Arg(x.u, x.app, x.nRows)))
-          ranked
-        }
-        named(op)(elementwiseDistributed(r, s, combine))
-      case None =>
-        val sp = named(op) {
+    named(op) {
+      op.combine.filter(_ => !args.forall { case (df, _) => InternalDF.isDriverLocal(df) }) match {
+        case Some(combine) =>
+          val Seq(r, s) = args.map { case (df, u) => new Ranked(df, u) }
+          check(Seq(r, s).map(x => new Arg(x.u, x.app, x.nRows)))
+          elementwiseDistributed(r, s, combine)
+        case None =>
           check(args.map { case (df, u) =>
             val (order, app) = resolveSchemas(df, u)
             new Arg(order, app, splits(df, u).matrix.nRows)
           })
-          args.map { case (df, u) => splits(df, u) }
-        }
-        val base = op.kernel(cfg.backend, sp.map(_.matrix))
-        named(op)(relation(args.head._1.sparkSession, op, sp, base))
+          val sp = args.map { case (df, u) => splits(df, u) }
+          relation(args.head._1.sparkSession, op, sp, op.kernel(cfg.backend, sp.map(_.matrix)))
+      }
     }
   }
 

@@ -5,19 +5,21 @@ package repro.matrix
   * The relational matrix algebra is defined at the logical level; the base
   * result of an operation may be computed by any backend. The paper ships
   * two: a "no-copy" implementation over BATs and a delegation to MKL. Our
-  * analogs are [[ColumnarBackend]] (from-scratch columnar kernels) and
+  * analogs are [[Kernels]] (from-scratch columnar kernels) and
   * [[BreezeBackend]] (copy to a contiguous dense matrix, call
   * Breeze/netlib-LAPACK). Both produce identical canonical results, which is
-  * asserted by the backend-agreement test suite.
+  * asserted by the backend-agreement test suite. Like RMA+, the algebra keeps
+  * the element-wise ops (add, sub, emu) on the columnar kernels, so a backend
+  * covers the other ops only.
+  *
+  * A fault of the input reads the same on both backends and names no kernel;
+  * the evaluator prefixes the op name.
   */
 trait MatrixBackend {
 
   /** Backend name for logs and bench tables. */
   def name: String
 
-  def add(a: ColMatrix, b: ColMatrix): ColMatrix
-  def sub(a: ColMatrix, b: ColMatrix): ColMatrix
-  def emu(a: ColMatrix, b: ColMatrix): ColMatrix
   def mmu(a: ColMatrix, b: ColMatrix): ColMatrix
   def tra(a: ColMatrix): ColMatrix
 

@@ -6,7 +6,8 @@ import java.util.concurrent.atomic.LongAdder
 import scala.jdk.CollectionConverters._
 import scala.util.DynamicVariable
 
-import breeze.linalg.{DenseMatrix, cholesky, eigSym => beigSym, qr => bqr, svd => bsvd}
+import breeze.linalg.{DenseMatrix, MatrixSingularException, NotConvergedException, cholesky,
+  eigSym => beigSym, qr => bqr, svd => bsvd}
 
 /** The "delegate to a specialised library" backend: analog of RMA+MKL.
   *
@@ -16,7 +17,10 @@ import breeze.linalg.{DenseMatrix, cholesky, eigSym => beigSym, qr => bqr, svd =
   * Every copy goes through `toDense` or `copyBack`, and
   * [[BreezeBackend.countingCopies]] reports their time, so the
   * transformation-share experiment (paper Figure 14) can report the same
-  * breakdown the paper does. The backend itself keeps no state.
+  * breakdown the paper does; `add` and `emu` are there for it alone, since
+  * the algebra keeps the element-wise ops on [[Kernels]]. LAPACK's faults
+  * are raised in the columnar kernels' words. The backend itself keeps no
+  * state.
   */
 object BreezeBackend extends MatrixBackend {
   val name = "breeze"
@@ -72,47 +76,57 @@ object BreezeBackend extends MatrixBackend {
   }
 
   def add(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) + toDense(b))
-  def sub(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) - toDense(b))
   def emu(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) *:* toDense(b))
 
   def mmu(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nRows, s"mmu: inner dimensions differ (${a.nCols} vs ${b.nRows})")
+    require(a.nCols == b.nRows, s"inner dimensions differ (${a.nCols} vs ${b.nRows})")
     fromDense(toDense(a) * toDense(b))
   }
 
   def tra(a: ColMatrix): ColMatrix = fromDense(toDense(a).t)
 
   def cpd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows, s"cpd: row counts differ (${a.nRows} vs ${b.nRows})")
+    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
     fromDense(toDense(a).t * toDense(b))
   }
 
   def opd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nCols, s"opd: column counts differ (${a.nCols} vs ${b.nCols})")
+    require(a.nCols == b.nCols, s"column counts differ (${a.nCols} vs ${b.nCols})")
     fromDense(toDense(a) * toDense(b).t)
   }
 
   def inv(a: ColMatrix): ColMatrix = {
-    require(a.nCols == a.nRows, s"inv: matrix must be square, got ${a.nRows}x${a.nCols}")
-    fromDense(breeze.linalg.inv(toDense(a)))
+    require(a.nCols == a.nRows, s"matrix must be square, got ${a.nRows}x${a.nCols}")
+    fromDense(worded(breeze.linalg.inv(toDense(a))))
   }
 
+  /** Runs a LAPACK call of inv, chf or sol, raising its fault in the
+    * columnar kernels' words.
+    */
+  private def worded[A](call: => A): A =
+    try call catch {
+      case e: MatrixSingularException =>
+        throw new IllegalArgumentException("requirement failed: matrix is singular", e)
+      case e: NotConvergedException =>
+        throw new IllegalArgumentException("requirement failed: matrix is not positive definite", e)
+    }
+
   def det(a: ColMatrix): Double = {
-    require(a.nCols == a.nRows, s"det: matrix must be square, got ${a.nRows}x${a.nCols}")
+    require(a.nCols == a.nRows, s"matrix must be square, got ${a.nRows}x${a.nCols}")
     breeze.linalg.det(toDense(a))
   }
 
   def rnk(a: ColMatrix): Int = breeze.linalg.rank(toDense(a))
 
   def chf(a: ColMatrix): ColMatrix = {
-    require(Kernels.isSymmetric(a), "chol: matrix must be symmetric")
+    require(Kernels.isSymmetric(a), "matrix must be symmetric")
     // Breeze returns lower L with a = L * L^T; our convention is upper R
     // with a = R^T * R (R's chol), so return L^T.
-    fromDense(cholesky(toDense(a)).t)
+    fromDense(worded(cholesky(toDense(a))).t)
   }
 
   def qr(a: ColMatrix): (ColMatrix, ColMatrix) = {
-    require(a.nRows >= a.nCols, s"qr: need rows >= cols, got ${a.nRows}x${a.nCols}")
+    require(a.nRows >= a.nCols, s"need rows >= cols, got ${a.nRows}x${a.nCols}")
     val blocks = tsqrBlocks(a)
     if (blocks > 1) tsqr(a, blocks)
     else {
@@ -174,13 +188,13 @@ object BreezeBackend extends MatrixBackend {
   }
 
   def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
-    require(Kernels.isSymmetric(a), "eig: only symmetric matrices are supported (see DESIGN.md)")
+    require(Kernels.isSymmetric(a), "only symmetric matrices are supported (see DESIGN.md)")
     val f = beigSym(toDense(a))
     Canon.canonEig(f.eigenvalues.toArray, fromDense(f.eigenvectors))
   }
 
   def sol(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows, s"solve: row counts differ (${a.nRows} vs ${b.nRows})")
-    fromDense(toDense(a) \ toDense(b))
+    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
+    fromDense(worded(toDense(a) \ toDense(b)))
   }
 }

@@ -12,11 +12,14 @@ package repro.matrix
   *  - [[qr]] is modified Gram-Schmidt over columns, the paper's BAT baseline
   *    for QR (Gander's report, cited as [12] in the paper).
   *  - [[svd]] is one-sided Jacobi (column-pair rotations — inherently
-  *    columnar), [[eigSym]] is cyclic Jacobi for symmetric matrices.
+  *    columnar), [[eig]] is cyclic Jacobi for symmetric matrices.
   *
-  * All kernels are pure: inputs are never mutated.
+  * This object is the columnar backend, the RMA+BAT analog: no conversion
+  * to an external dense format is performed. All kernels are pure: inputs
+  * are never mutated.
   */
-object Kernels {
+object Kernels extends MatrixBackend {
+  val name = "columnar"
 
   private val Eps = 2.220446049250313e-16 // IEEE-754 double machine epsilon
 
@@ -54,8 +57,7 @@ object Kernels {
     * Column j of the result is a sum of AXPY column updates — pure column ops.
     */
   def mmu(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nRows,
-      s"mmu: inner dimensions differ (${a.nCols} vs ${b.nRows})")
+    require(a.nCols == b.nRows, s"inner dimensions differ (${a.nCols} vs ${b.nRows})")
     val out = Array.ofDim[Array[Double]](b.nCols)
     var j = 0
     while (j < b.nCols) {
@@ -81,8 +83,7 @@ object Kernels {
 
   /** Cross product (CPD): aT * b, computed as pairwise column dot products. */
   def cpd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows,
-      s"cpd: row counts differ (${a.nRows} vs ${b.nRows})")
+    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
     val out = Array.ofDim[Array[Double]](b.nCols)
     var j = 0
     while (j < b.nCols) {
@@ -98,8 +99,7 @@ object Kernels {
 
   /** Outer product (OPD): a * bT for a: n1 x k, b: n2 x k -> n1 x n2. */
   def opd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nCols,
-      s"opd: column counts differ (${a.nCols} vs ${b.nCols})")
+    require(a.nCols == b.nCols, s"column counts differ (${a.nCols} vs ${b.nCols})")
     mmu(a, b.transpose)
   }
 
@@ -126,7 +126,7 @@ object Kernels {
     */
   def inv(a: ColMatrix): ColMatrix = {
     val n = a.nRows
-    require(a.nCols == n, s"inv: matrix must be square, got ${n}x${a.nCols}")
+    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
     val b = a.copy()
     val br = ColMatrix.identity(n)
     var i = 0
@@ -140,7 +140,7 @@ object Kernels {
         if (v > best) { best = v; p = j }
         j += 1
       }
-      require(best > 0.0, "inv: matrix is singular")
+      require(best > 0.0, "matrix is singular")
       if (p != i) {
         val t = b.cols(i); b.cols(i) = b.cols(p); b.cols(p) = t
         val u = br.cols(i); br.cols(i) = br.cols(p); br.cols(p) = u
@@ -184,7 +184,7 @@ object Kernels {
     */
   def qr(a: ColMatrix): (ColMatrix, ColMatrix) = {
     val n = a.nRows; val k = a.nCols
-    require(n >= k, s"qr: need rows >= cols, got ${n}x$k")
+    require(n >= k, s"need rows >= cols, got ${n}x$k")
     val q = a.copy()
     val r = ColMatrix.zeros(k, k)
     var j = 0
@@ -199,7 +199,7 @@ object Kernels {
       }
       val nrm = norm2(qj)
       require(nrm > math.max(n, k) * Eps * 1e3 * (1.0 + colAbsMax(a, j)),
-        s"qr: column $j is linearly dependent (rank-deficient input)")
+        s"column $j is linearly dependent (rank-deficient input)")
       r.cols(j)(j) = nrm
       scaleInPlace(qj, 1.0 / nrm)
       j += 1
@@ -222,10 +222,10 @@ object Kernels {
   /** Cholesky factorisation of a symmetric positive-definite matrix.
     * Returns upper-triangular `R` such that `a = R^T * R`.
     */
-  def chol(a: ColMatrix): ColMatrix = {
+  def chf(a: ColMatrix): ColMatrix = {
     val n = a.nRows
-    require(a.nCols == n, s"chol: matrix must be square, got ${n}x${a.nCols}")
-    require(isSymmetric(a), "chol: matrix must be symmetric")
+    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
+    require(isSymmetric(a), "matrix must be symmetric")
     val r = ColMatrix.zeros(n, n)
     var j = 0
     while (j < n) {
@@ -235,7 +235,7 @@ object Kernels {
         var l = 0
         while (l < i) { s -= r.cols(i)(l) * r.cols(j)(l); l += 1 }
         if (i == j) {
-          require(s > 0.0, "chol: matrix is not positive definite")
+          require(s > 0.0, "matrix is not positive definite")
           r.cols(j)(j) = math.sqrt(s)
         } else {
           r.cols(j)(i) = s / r.cols(i)(i)
@@ -269,7 +269,7 @@ object Kernels {
   /** Determinant via LU (Gaussian elimination, partial pivoting). */
   def det(a: ColMatrix): Double = {
     val n = a.nRows
-    require(a.nCols == n, s"det: matrix must be square, got ${n}x${a.nCols}")
+    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
     val m = a.transpose.cols // row-major: m(i) is row i
     var d = 1.0
     var i = 0
@@ -307,10 +307,10 @@ object Kernels {
     * eigenvalues; each vector's max-|.| component positive). Each rotation
     * touches two rows and two columns — a column-pair operation.
     */
-  def eigSym(a: ColMatrix): (Array[Double], ColMatrix) = {
+  def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
     val n = a.nRows
-    require(a.nCols == n, s"eig: matrix must be square, got ${n}x${a.nCols}")
-    require(isSymmetric(a), "eig: only symmetric matrices are supported (see DESIGN.md)")
+    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
+    require(isSymmetric(a), "only symmetric matrices are supported (see DESIGN.md)")
     val m = a.transpose.cols // row-major: m(i) is row i
     val v = ColMatrix.identity(n).transpose.cols
     val maxSweeps = 64
@@ -509,7 +509,7 @@ object Kernels {
   /** Numerical rank: number of singular values above the standard
     * `max(n,k) * eps * sigma_max` threshold.
     */
-  def rank(a: ColMatrix): Int = {
+  def rnk(a: ColMatrix): Int = {
     if (a.nRows == 0 || a.nCols == 0) return 0
     val (_, s, _) = svd(a)
     val tol = math.max(a.nRows, a.nCols) * Eps * s.foldLeft(0.0)(math.max)
@@ -523,9 +523,8 @@ object Kernels {
   /** Solve `a * x = b` (least squares when `a` is rectangular, like R's
     * `qr.solve`). `b` may have several columns; x is (a.nCols x b.nCols).
     */
-  def solve(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows,
-      s"solve: row counts differ (${a.nRows} vs ${b.nRows})")
+  def sol(a: ColMatrix, b: ColMatrix): ColMatrix = {
+    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
     val (q, r) = qr(a)
     val qtb = cpd(q, b) // Q^T b, k x bCols
     val k = a.nCols

@@ -56,7 +56,7 @@ class SynthDataSpec extends SparkSpec {
   }
 
   test("ratings generates a user key and film columns in [0,5]") {
-    val df = SynthData.ratings(spark, 100, 3)
+    val df = SynthTables.ratings(spark, 100, 3)
     assert(df.columns.toSeq == Seq("usr", "f1", "f2", "f3"))
     assert(df.select("usr").distinct().count() == 100)
     val mx = df.agg(max("f1"), min("f1")).collect().head
@@ -64,7 +64,7 @@ class SynthDataSpec extends SparkSpec {
   }
 
   test("TPC-H-lite lineitem is deterministic and keyed sanely") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
+    val li = SynthTables.lineitem(spark, sf = 0.001)
     assert(li.count() == 6000)
     assert(li.columns.contains("l_quantity"))
   }

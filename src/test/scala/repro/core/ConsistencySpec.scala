@@ -48,7 +48,7 @@ class ConsistencySpec extends RmaFixtures {
     val sym = makeDf(Seq("k" -> StringType, "a" -> DoubleType, "b" -> DoubleType),
       Seq(Seq("r1", 5.0, 2.0), Seq("r2", 2.0, 3.0)))
     val sm = collectMatrix(sym, Seq("k"))
-    val (w, vec) = Kernels.eigSym(sm)
+    val (w, vec) = Kernels.eig(sm)
     assertClose(collectMatrix(Rma.evc(sym, Seq("k")), Seq("k")), vec, 1e-9)
     assertClose(collectMatrix(Rma.evl(sym, Seq("k")), Seq("k")),
       repro.matrix.ColMatrix.fromVector(w), 1e-9)

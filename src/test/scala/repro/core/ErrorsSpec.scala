@@ -6,7 +6,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.repro.SparkJobs
 import org.apache.spark.sql.types.{DoubleType, StringType}
 
-import repro.matrix.{ColMatrix, ColumnarBackend, MatrixBackend}
+import repro.matrix.{BreezeBackend, ColMatrix, Kernels, MatrixBackend}
 
 /** Validation behaviour: order schemas must be keys, application schemas
   * numeric, shapes compatible — with actionable error messages.
@@ -159,16 +159,47 @@ class ErrorsSpec extends RmaFixtures {
     }
   }
 
+  test("a kernel fault names the op in the same words on both backends") {
+    def rel(rows: Seq[Double]*) = makeDf(("k" -> StringType) +: rows.head.indices.map(j => s"a$j" -> DoubleType),
+      rows.zipWithIndex.map { case (row, i) => s"r$i" +: row })
+    val singular = rel(Seq(1.0, 2.0), Seq(2.0, 4.0))
+    val asymmetric = rel(Seq(1.0, 2.0), Seq(0.0, 1.0))
+    val wide = rel(Seq(1.0, 2.0, 3.0), Seq(4.0, 5.0, 6.0))
+    val faults = Seq(
+      (Rma.inv, singular, "matrix is singular"),
+      (Rma.chf, rel(Seq(1.0, 2.0), Seq(2.0, 1.0)), "matrix is not positive definite"),
+      (Rma.chf, asymmetric, "matrix must be symmetric"),
+      (Rma.evc, asymmetric, "only symmetric matrices are supported"),
+      (Rma.evl, asymmetric, "only symmetric matrices are supported"),
+      (Rma.qqr, wide, "need rows >= cols, got 2x3"),
+      (Rma.rqr, wide, "need rows >= cols, got 2x3"))
+    for (backend <- Seq(Kernels, BreezeBackend)) withClue(s"${backend.name}: ") {
+      val cfg = RmaConfig(backend = backend)
+      for ((op, r, why) <- faults) withClue(s"${op.name}: ") {
+        val e = intercept[IllegalArgumentException] { op(r, Seq("k"), cfg) }
+        assert(e.getMessage.startsWith(s"requirement failed: ${op.name}: $why"))
+      }
+      val det = Rma.det(singular, Seq("k"), cfg).select("det").head().getDouble(0)
+      assert(det == 0.0 && 1.0 / det > 0, s"det of a singular matrix reads $det, not +0.0")
+    }
+  }
+
+  test("element-wise ops never call the configured backend") {
+    val backend = new CountingBackend
+    val cfg = RmaConfig(backend = backend)
+    onRoute(distributed = false) { in =>
+      for (op <- Seq(Rma.add, Rma.sub, Rma.emu)) op(in(argR), Seq("k"), in(argS), Seq("m"), cfg).collect()
+    }
+    assert(backend.calls.isEmpty, s"kernels ran: ${backend.calls}")
+  }
+
   /** The columnar kernels, counting calls per kernel. */
   private final class CountingBackend extends MatrixBackend {
     val calls: mutable.Map[String, Int] = mutable.Map.empty[String, Int].withDefaultValue(0)
     private def count[T](kernel: String)(body: => T): T = { calls(kernel) += 1; body }
-    private val b = ColumnarBackend
+    private val b = Kernels
 
     val name = "counting"
-    def add(x: ColMatrix, y: ColMatrix): ColMatrix = count("add")(b.add(x, y))
-    def sub(x: ColMatrix, y: ColMatrix): ColMatrix = count("sub")(b.sub(x, y))
-    def emu(x: ColMatrix, y: ColMatrix): ColMatrix = count("emu")(b.emu(x, y))
     def mmu(x: ColMatrix, y: ColMatrix): ColMatrix = count("mmu")(b.mmu(x, y))
     def tra(x: ColMatrix): ColMatrix = count("tra")(b.tra(x))
     def cpd(x: ColMatrix, y: ColMatrix): ColMatrix = count("cpd")(b.cpd(x, y))

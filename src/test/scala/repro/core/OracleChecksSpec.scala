@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SynthData}
+import repro.{Oracle, SynthTables}
 
 /** DuckDB result-equality checks: every RMA operation whose semantics is
   * expressible in plain SQL is verified against an independent engine, so a
@@ -124,7 +124,7 @@ class OracleChecksSpec extends RmaFixtures {
   test("add matches DuckDB on pivoted TPC-H-lite lineitem") {
     // Pivot lineitem by return flag: a keyed numeric matrix per order.
     def pivoted(seed: Long): DataFrame =
-      SynthData.lineitem(spark, sf = 0.001, seed = seed)
+      SynthTables.lineitem(spark, sf = 0.001, seed = seed)
         .groupBy("l_orderkey").pivot("l_returnflag", Seq("A", "N", "R"))
         .agg(coalesce(sum("l_quantity"), lit(0.0)))
         .na.fill(0.0)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions.col
 
-import repro.matrix.{ColMatrix, ColumnarBackend, Kernels}
+import repro.matrix.{ColMatrix, Kernels}
 
 /** Unary relational matrix operations: schemas, values, and contextual
   * information per paper Table 2.
@@ -10,7 +10,7 @@ import repro.matrix.{ColMatrix, ColumnarBackend, Kernels}
 class RmaUnarySpec extends RmaFixtures {
   import repro.matrix.MatrixTestUtil._
 
-  private val bat = RmaConfig(backend = ColumnarBackend)
+  private val bat = RmaConfig(backend = Kernels)
 
   // ------------------------------------------------------------------ inv
 

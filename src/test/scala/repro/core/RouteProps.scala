@@ -10,7 +10,7 @@ import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop, Properties, Test}
 
 import repro.SparkSpec
-import repro.matrix.ColumnarBackend
+import repro.matrix.Kernels
 
 /** Route differential: add, sub and emu give the same relation, or the same
   * error message, on the distributed and on the collect element-wise route,
@@ -120,7 +120,7 @@ object RouteProps extends Properties("Routes") {
         }
         val distributed = on(rCached, sCached)
         val collect = on(r, s)
-        val columnar = on(r, s, RmaConfig(backend = ColumnarBackend))
+        val columnar = on(r, s, RmaConfig(backend = Kernels))
         val (sqlDistributed, sqlCollect) = (viaSql(rCached, sCached), viaSql(r, s))
         val kind = collect.fold(_.replaceAll(".*: (null|order schema|row counts).*", "$1"), _ => "relation")
         Prop.collect(kind) {

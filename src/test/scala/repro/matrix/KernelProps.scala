@@ -55,7 +55,7 @@ object KernelProps extends Properties("Kernels") {
   }
 
   property("rank <= min(dim)") = forAll(squareGen) { case (n, a) =>
-    Kernels.rank(a) <= n
+    Kernels.rnk(a) <= n
   }
 
   property("svd singular values are nonnegative and descending") =

@@ -141,24 +141,24 @@ class KernelsSpec extends AnyFunSuite {
   for (seed <- 1 to 6)
     test(s"chol satisfies A = R^T R with upper R (seed=$seed)") {
       val a = rndSpd(4 + seed % 3, seed)
-      val r = Kernels.chol(a)
+      val r = Kernels.chf(a)
       assert(isUpperTriangular(r), "R not upper triangular")
       assertClose(Kernels.cpd(r, r), a, 1e-8) // R^T R = A
     }
 
   test("chol of identity is identity") {
-    assertClose(Kernels.chol(ColMatrix.identity(4)), ColMatrix.identity(4), 1e-12)
+    assertClose(Kernels.chf(ColMatrix.identity(4)), ColMatrix.identity(4), 1e-12)
   }
 
   test("chol rejects non-positive-definite input") {
     intercept[IllegalArgumentException] {
-      Kernels.chol(ColMatrix.fromRows(Seq(Seq(1.0, 2.0), Seq(2.0, 1.0))))
+      Kernels.chf(ColMatrix.fromRows(Seq(Seq(1.0, 2.0), Seq(2.0, 1.0))))
     }
   }
 
   test("chol rejects asymmetric input") {
     intercept[IllegalArgumentException] {
-      Kernels.chol(ColMatrix.fromRows(Seq(Seq(1.0, 2.0), Seq(0.0, 1.0))))
+      Kernels.chf(ColMatrix.fromRows(Seq(Seq(1.0, 2.0), Seq(0.0, 1.0))))
     }
   }
 
@@ -191,7 +191,7 @@ class KernelsSpec extends AnyFunSuite {
 
   test("det of chol factor squared equals det of SPD matrix") {
     val a = rndSpd(5, 77)
-    val r = Kernels.chol(a)
+    val r = Kernels.chf(a)
     val dr = Kernels.det(r)
     assert(math.abs(dr * dr - Kernels.det(a)) < 1e-6 * math.abs(Kernels.det(a)) + 1e-12)
   }
@@ -200,7 +200,7 @@ class KernelsSpec extends AnyFunSuite {
 
   test("eigSym on a known 2x2 example") {
     val a = ColMatrix.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 2.0)))
-    val (w, v) = Kernels.eigSym(a)
+    val (w, v) = Kernels.eig(a)
     assertCloseArr(w, Array(3.0, 1.0), 1e-10)
     // eigenvector for lambda=3 is (1,1)/sqrt(2) with positive canonical sign
     assert(math.abs(v(0, 0) - 1 / math.sqrt(2)) < 1e-10)
@@ -210,7 +210,7 @@ class KernelsSpec extends AnyFunSuite {
   for (seed <- 1 to 6; n <- Seq(2, 4, 7))
     test(s"eigSym satisfies A v = lambda v (n=$n seed=$seed)") {
       val a = rndSym(n, seed * 13 + n)
-      val (w, v) = Kernels.eigSym(a)
+      val (w, v) = Kernels.eig(a)
       assert(w.sliding(2).forall(p => p.length < 2 || p(0) >= p(1) - 1e-12), "not descending")
       assert(isOrthonormalCols(v, 1e-8), "eigenvectors not orthonormal")
       val av = Kernels.mmu(a, v)
@@ -220,14 +220,14 @@ class KernelsSpec extends AnyFunSuite {
 
   test("eigSym eigenvalues sum to the trace") {
     val a = rndSym(5, 99)
-    val (w, _) = Kernels.eigSym(a)
+    val (w, _) = Kernels.eig(a)
     val trace = (0 until 5).map(i => a(i, i)).sum
     assert(math.abs(w.sum - trace) < 1e-8)
   }
 
   test("eigSym rejects asymmetric input") {
     intercept[IllegalArgumentException] {
-      Kernels.eigSym(ColMatrix.fromRows(Seq(Seq(1.0, 2.0), Seq(0.0, 1.0))))
+      Kernels.eig(ColMatrix.fromRows(Seq(Seq(1.0, 2.0), Seq(0.0, 1.0))))
     }
   }
 
@@ -276,18 +276,18 @@ class KernelsSpec extends AnyFunSuite {
 
   // ----------------------------------------------------------------- rank
 
-  test("rank of identity is n") { assert(Kernels.rank(ColMatrix.identity(4)) == 4) }
+  test("rank of identity is n") { assert(Kernels.rnk(ColMatrix.identity(4)) == 4) }
 
   test("rank of a rank-1 matrix is 1") {
     val a = Kernels.opd(ColMatrix.fromVector(Array(1.0, 2.0)), ColMatrix.fromVector(Array(3.0, 4.0, 5.0)))
-    assert(Kernels.rank(a) == 1)
+    assert(Kernels.rnk(a) == 1)
   }
 
-  test("rank of zero matrix is 0") { assert(Kernels.rank(ColMatrix.zeros(3, 3)) == 0) }
+  test("rank of zero matrix is 0") { assert(Kernels.rnk(ColMatrix.zeros(3, 3)) == 0) }
 
   for (seed <- 1 to 4)
     test(s"rank of a random full-rank matrix (seed=$seed)") {
-      assert(Kernels.rank(rnd(6, 4, seed * 17)) == 4)
+      assert(Kernels.rnk(rnd(6, 4, seed * 17)) == 4)
     }
 
   // ---------------------------------------------------------------- solve
@@ -295,7 +295,7 @@ class KernelsSpec extends AnyFunSuite {
   test("solve on a known square system") {
     val a = ColMatrix.fromRows(Seq(Seq(2.0, 0.0), Seq(0.0, 4.0)))
     val b = ColMatrix.fromVector(Array(6.0, 8.0))
-    assertClose(Kernels.solve(a, b), ColMatrix.fromVector(Array(3.0, 2.0)), 1e-12)
+    assertClose(Kernels.sol(a, b), ColMatrix.fromVector(Array(3.0, 2.0)), 1e-12)
   }
 
   for (seed <- 1 to 6)
@@ -303,7 +303,7 @@ class KernelsSpec extends AnyFunSuite {
       val a = rndNonsingular(5, seed * 3)
       val x = rnd(5, 2, seed * 5)
       val b = Kernels.mmu(a, x)
-      assertClose(Kernels.solve(a, b), x, 1e-7)
+      assertClose(Kernels.sol(a, b), x, 1e-7)
     }
 
   for (seed <- 1 to 4)
@@ -312,15 +312,15 @@ class KernelsSpec extends AnyFunSuite {
       val x = rnd(3, 1, seed * 13)
       val b = Kernels.mmu(a, x)
       // consistent system: exact recovery
-      assertClose(Kernels.solve(a, b), x, 1e-7)
+      assertClose(Kernels.sol(a, b), x, 1e-7)
       // inconsistent system: residual orthogonal to the column space
       val b2 = rnd(8, 1, seed * 17)
-      val x2 = Kernels.solve(a, b2)
+      val x2 = Kernels.sol(a, b2)
       val resid = Kernels.sub(Kernels.mmu(a, x2), b2)
       assertClose(Kernels.cpd(a, resid), ColMatrix.zeros(3, 1), 1e-7)
     }
 
   test("solve rejects row mismatch") {
-    intercept[IllegalArgumentException] { Kernels.solve(rnd(3, 2, 1), rnd(4, 1, 1)) }
+    intercept[IllegalArgumentException] { Kernels.sol(rnd(3, 2, 1), rnd(4, 1, 1)) }
   }
 }
