@@ -2,10 +2,12 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.analysis.{caseInsensitiveResolution, caseSensitiveResolution}
 import org.apache.spark.sql.catalyst.expressions.{Ascending, BoundReference, Cast, GenericInternalRow,
   JoinedRow, RowOrdering, SortOrder, UnsafeProjection}
 import org.apache.spark.sql.catalyst.expressions.codegen.LazilyGeneratedOrdering
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.repro.InternalDF
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
@@ -62,25 +64,31 @@ object Constructors {
 
   /** Resolve order/application schemas and validate them (paper §4: the order
     * schema must be ⊆ R; everything else is the application schema and must
-    * be numeric).
+    * be numeric). Order attributes are matched as Spark resolves `col(name)`,
+    * case-insensitively unless `spark.sql.caseSensitive` is set, and come back
+    * in the schema's spelling.
     */
   def resolveSchemas(df: DataFrame, order: Seq[String]): (Seq[String], Seq[String]) = {
     val all = df.columns.toSeq
     require(order.nonEmpty, "order schema must not be empty")
-    val missing = order.filterNot(all.contains)
+    val resolves = if (df.sparkSession.conf.get(SQLConf.CASE_SENSITIVE.key).toBoolean) caseSensitiveResolution
+      else caseInsensitiveResolution
+    val found = order.map(a => all.find(resolves(_, a)))
+    val missing = order.zip(found).collect { case (a, None) => a }
     require(missing.isEmpty, s"order schema attributes $missing not in schema $all")
-    require(order.distinct.length == order.length, s"duplicate attributes in order schema $order")
-    val app = all.filterNot(order.contains)
+    val u = found.flatten
+    require(u.distinct.length == u.length, s"duplicate attributes in order schema $order")
+    val app = all.filterNot(u.contains)
     require(app.nonEmpty,
       s"application schema is empty: all attributes of $all are in the order schema")
     val badTypes = app.filter(c => !numeric(df.schema(c).dataType))
     require(badTypes.isEmpty,
       s"application schema attributes $badTypes are not numeric; " +
         "add them to the order schema or project them away (paper footnote 2)")
-    val unsortable = order.map(df.schema(_)).filterNot(f => RowOrdering.isOrderable(f.dataType))
+    val unsortable = u.map(df.schema(_)).filterNot(f => RowOrdering.isOrderable(f.dataType))
     require(unsortable.isEmpty,
       s"order schema attributes ${unsortable.map(f => s"${f.name}: ${f.dataType.sql}")} cannot be sorted")
-    (order, app)
+    (u, app)
   }
 
   /** Matrix constructor μ̄_U(r) together with the order part μ_U(r):

@@ -90,17 +90,12 @@ object BreezeBackend extends MatrixBackend {
     fromDense(toDense(a).t * toDense(b))
   }
 
-  def opd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nCols, s"column counts differ (${a.nCols} vs ${b.nCols})")
-    fromDense(toDense(a) * toDense(b).t)
-  }
-
   def inv(a: ColMatrix): ColMatrix = {
     require(a.nCols == a.nRows, s"matrix must be square, got ${a.nRows}x${a.nCols}")
     fromDense(worded(breeze.linalg.inv(toDense(a))))
   }
 
-  /** Runs a LAPACK call of inv, chf or sol, raising its fault in the
+  /** Runs a LAPACK call of inv or chf, raising its fault in the
     * columnar kernels' words.
     */
   private def worded[A](call: => A): A =
@@ -116,8 +111,6 @@ object BreezeBackend extends MatrixBackend {
     breeze.linalg.det(toDense(a))
   }
 
-  def rnk(a: ColMatrix): Int = breeze.linalg.rank(toDense(a))
-
   def chf(a: ColMatrix): ColMatrix = {
     require(Kernels.isSymmetric(a), "matrix must be symmetric")
     // Breeze returns lower L with a = L * L^T; our convention is upper R
@@ -128,11 +121,14 @@ object BreezeBackend extends MatrixBackend {
   def qr(a: ColMatrix): (ColMatrix, ColMatrix) = {
     require(a.nRows >= a.nCols, s"need rows >= cols, got ${a.nRows}x${a.nCols}")
     val blocks = tsqrBlocks(a)
-    if (blocks > 1) tsqr(a, blocks)
-    else {
-      val f = bqr.reduced(toDense(a))
-      Canon.canonQr(fromDense(f.q), fromDense(f.r))
-    }
+    val (q, r) =
+      if (blocks > 1) tsqr(a, blocks)
+      else {
+        val f = bqr.reduced(toDense(a))
+        (fromDense(f.q), fromDense(f.r))
+      }
+    for (j <- 0 until a.nCols) MatrixBackend.requireIndependent(a, j, r(j, j))
+    Canon.canonQr(q, r)
   }
 
   private val Threads = math.max(1, Runtime.getRuntime.availableProcessors)
@@ -151,7 +147,7 @@ object BreezeBackend extends MatrixBackend {
     * QR the stacked R factors, recombine. This is how the delegation backend
     * "leverages the underlying hardware" like the paper's multi-core MKL —
     * netlib's pure-Java LAPACK is single-threaded, so the blocking supplies
-    * the parallelism. Produces the same canonical (Q, R) as the plain path.
+    * the parallelism. Produces the same (Q, R) as the plain path, up to signs.
     */
   private def tsqr(a: ColMatrix, blocks: Int): (ColMatrix, ColMatrix) = {
     val n = a.nRows; val k = a.nCols
@@ -178,7 +174,7 @@ object BreezeBackend extends MatrixBackend {
         val qb = stage1(b)._1 * f2.q(b * k until (b + 1) * k, ::)
         timed(counter)(copyBack(qb, qCols, bounds(b)._1))
       }
-      Canon.canonQr(new ColMatrix(qCols, n), fromDense(f2.r))
+      (new ColMatrix(qCols, n), fromDense(f2.r))
     } finally pool.shutdown()
   }
 
@@ -191,10 +187,5 @@ object BreezeBackend extends MatrixBackend {
     require(Kernels.isSymmetric(a), "only symmetric matrices are supported (see DESIGN.md)")
     val f = beigSym(toDense(a))
     Canon.canonEig(f.eigenvalues.toArray, fromDense(f.eigenvectors))
-  }
-
-  def sol(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
-    fromDense(worded(toDense(a) \ toDense(b)))
   }
 }

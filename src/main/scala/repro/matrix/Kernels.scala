@@ -19,9 +19,9 @@ package repro.matrix
   * are never mutated.
   */
 object Kernels extends MatrixBackend {
-  val name = "columnar"
+  import MatrixBackend.{Eps, colAbsMax, requireIndependent}
 
-  private val Eps = 2.220446049250313e-16 // IEEE-754 double machine epsilon
+  val name = "columnar"
 
   // ---------------------------------------------------------------------
   // Element-wise and multiplicative ops (shape checks live in the callers
@@ -95,12 +95,6 @@ object Kernels extends MatrixBackend {
       j += 1
     }
     new ColMatrix(out, a.nCols)
-  }
-
-  /** Outer product (OPD): a * bT for a: n1 x k, b: n2 x k -> n1 x n2. */
-  def opd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nCols, s"column counts differ (${a.nCols} vs ${b.nCols})")
-    mmu(a, b.transpose)
   }
 
   private def dot(x: Array[Double], y: Array[Double]): Double = {
@@ -198,21 +192,12 @@ object Kernels extends MatrixBackend {
         i += 1
       }
       val nrm = norm2(qj)
-      require(nrm > math.max(n, k) * Eps * 1e3 * (1.0 + colAbsMax(a, j)),
-        s"column $j is linearly dependent (rank-deficient input)")
+      requireIndependent(a, j, nrm)
       r.cols(j)(j) = nrm
       scaleInPlace(qj, 1.0 / nrm)
       j += 1
     }
     Canon.canonQr(q, r)
-  }
-
-  private def colAbsMax(a: ColMatrix, j: Int): Double = {
-    var m = 0.0
-    val c = a.cols(j)
-    var i = 0
-    while (i < c.length) { m = math.max(m, math.abs(c(i))); i += 1 }
-    m
   }
 
   // ---------------------------------------------------------------------
@@ -504,46 +489,5 @@ object Kernels extends MatrixBackend {
       val extra = completeBasis(uThin, uThin.cols.indices)
       new ColMatrix(uThin.cols ++ extra, uThin.nRows)
     }
-  }
-
-  /** Numerical rank: number of singular values above the standard
-    * `max(n,k) * eps * sigma_max` threshold.
-    */
-  def rnk(a: ColMatrix): Int = {
-    if (a.nRows == 0 || a.nCols == 0) return 0
-    val (_, s, _) = svd(a)
-    val tol = math.max(a.nRows, a.nCols) * Eps * s.foldLeft(0.0)(math.max)
-    s.count(_ > tol)
-  }
-
-  // ---------------------------------------------------------------------
-  // Solve — exact for square systems, least squares for rectangular (via QR).
-  // ---------------------------------------------------------------------
-
-  /** Solve `a * x = b` (least squares when `a` is rectangular, like R's
-    * `qr.solve`). `b` may have several columns; x is (a.nCols x b.nCols).
-    */
-  def sol(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
-    val (q, r) = qr(a)
-    val qtb = cpd(q, b) // Q^T b, k x bCols
-    val k = a.nCols
-    val out = Array.ofDim[Array[Double]](b.nCols)
-    var j = 0
-    while (j < b.nCols) {
-      val y = qtb.cols(j)
-      val x = new Array[Double](k)
-      var i = k - 1
-      while (i >= 0) {
-        var s = y(i)
-        var l = i + 1
-        while (l < k) { s -= r.cols(l)(i) * x(l); l += 1 }
-        x(i) = s / r.cols(i)(i)
-        i -= 1
-      }
-      out(j) = x
-      j += 1
-    }
-    new ColMatrix(out, k)
   }
 }

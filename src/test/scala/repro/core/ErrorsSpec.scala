@@ -165,18 +165,25 @@ class ErrorsSpec extends RmaFixtures {
     val singular = rel(Seq(1.0, 2.0), Seq(2.0, 4.0))
     val asymmetric = rel(Seq(1.0, 2.0), Seq(0.0, 1.0))
     val wide = rel(Seq(1.0, 2.0, 3.0), Seq(4.0, 5.0, 6.0))
+    val rankOne = rel(Seq(1.0, 2.0), Seq(2.0, 4.0), Seq(3.0, 6.0))
+    val rhs = makeDf(Seq("m" -> StringType, "x" -> DoubleType), Seq(Seq("s0", 1.0), Seq("s1", 2.0)))
+    val dependent = "column 1 is linearly dependent (rank-deficient input)"
+    def unary(op: UnaryOp, r: DataFrame, why: String) = (op, (cfg: RmaConfig) => op(r, Seq("k"), cfg), why)
     val faults = Seq(
-      (Rma.inv, singular, "matrix is singular"),
-      (Rma.chf, rel(Seq(1.0, 2.0), Seq(2.0, 1.0)), "matrix is not positive definite"),
-      (Rma.chf, asymmetric, "matrix must be symmetric"),
-      (Rma.evc, asymmetric, "only symmetric matrices are supported"),
-      (Rma.evl, asymmetric, "only symmetric matrices are supported"),
-      (Rma.qqr, wide, "need rows >= cols, got 2x3"),
-      (Rma.rqr, wide, "need rows >= cols, got 2x3"))
+      unary(Rma.inv, singular, "matrix is singular"),
+      unary(Rma.chf, rel(Seq(1.0, 2.0), Seq(2.0, 1.0)), "matrix is not positive definite"),
+      unary(Rma.chf, asymmetric, "matrix must be symmetric"),
+      unary(Rma.evc, asymmetric, "only symmetric matrices are supported"),
+      unary(Rma.evl, asymmetric, "only symmetric matrices are supported"),
+      unary(Rma.qqr, wide, "need rows >= cols, got 2x3"),
+      unary(Rma.rqr, wide, "need rows >= cols, got 2x3"),
+      unary(Rma.qqr, rankOne, dependent),
+      unary(Rma.rqr, rankOne, dependent),
+      (Rma.sol, (cfg: RmaConfig) => Rma.sol(singular, Seq("k"), rhs, Seq("m"), cfg), dependent))
     for (backend <- Seq(Kernels, BreezeBackend)) withClue(s"${backend.name}: ") {
       val cfg = RmaConfig(backend = backend)
-      for ((op, r, why) <- faults) withClue(s"${op.name}: ") {
-        val e = intercept[IllegalArgumentException] { op(r, Seq("k"), cfg) }
+      for ((op, call, why) <- faults) withClue(s"${op.name}: ") {
+        val e = intercept[IllegalArgumentException] { call(cfg) }
         assert(e.getMessage.startsWith(s"requirement failed: ${op.name}: $why"))
       }
       val det = Rma.det(singular, Seq("k"), cfg).select("det").head().getDouble(0)
@@ -193,7 +200,9 @@ class ErrorsSpec extends RmaFixtures {
     assert(backend.calls.isEmpty, s"kernels ran: ${backend.calls}")
   }
 
-  /** The columnar kernels, counting calls per kernel. */
+  /** The columnar kernels, counting calls per kernel; `opd`, `rnk` and
+    * `sol` count as the kernels they are defined over.
+    */
   private final class CountingBackend extends MatrixBackend {
     val calls: mutable.Map[String, Int] = mutable.Map.empty[String, Int].withDefaultValue(0)
     private def count[T](kernel: String)(body: => T): T = { calls(kernel) += 1; body }
@@ -203,14 +212,11 @@ class ErrorsSpec extends RmaFixtures {
     def mmu(x: ColMatrix, y: ColMatrix): ColMatrix = count("mmu")(b.mmu(x, y))
     def tra(x: ColMatrix): ColMatrix = count("tra")(b.tra(x))
     def cpd(x: ColMatrix, y: ColMatrix): ColMatrix = count("cpd")(b.cpd(x, y))
-    def opd(x: ColMatrix, y: ColMatrix): ColMatrix = count("opd")(b.opd(x, y))
     def inv(x: ColMatrix): ColMatrix = count("inv")(b.inv(x))
     def det(x: ColMatrix): Double = count("det")(b.det(x))
-    def rnk(x: ColMatrix): Int = count("rnk")(b.rnk(x))
     def chf(x: ColMatrix): ColMatrix = count("chf")(b.chf(x))
     def qr(x: ColMatrix): (ColMatrix, ColMatrix) = count("qr")(b.qr(x))
     def svd(x: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = count("svd")(b.svd(x))
     def eig(x: ColMatrix): (Array[Double], ColMatrix) = count("eig")(b.eig(x))
-    def sol(x: ColMatrix, y: ColMatrix): ColMatrix = count("sol")(b.sol(x, y))
   }
 }

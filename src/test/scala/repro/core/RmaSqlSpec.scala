@@ -84,6 +84,9 @@ class RmaSqlSpec extends RmaFixtures {
   test("case-insensitive op names and keywords") {
     val v = RmaSql.sql(spark, "select * from inv(rlate by T)")
     assert(v.count() == 2)
+    // Order attributes resolve as Spark resolves `col`, in the schema's spelling.
+    val q = RmaSql.sql(spark, "SELECT * FROM QQR(r BY t)")
+    assert(q.columns.toSeq == Seq("T", "H", "W"))
   }
 
   test("multi-attribute order schema in BY") {

@@ -31,6 +31,15 @@ class TsqrSpec extends AnyFunSuite {
     assertClose(Kernels.mmu(q, r), a, 1e-8)
   }
 
+  test("tsqr rejects a rank-deficient matrix in the columnar kernel's words") {
+    val a = rnd(70000, 2, 5)
+    val deficient = new ColMatrix(a.cols :+ Array.tabulate(a.nRows)(i => a(i, 0) + a(i, 1)), a.nRows)
+    val why = Seq(BreezeBackend, Kernels).map { b =>
+      intercept[IllegalArgumentException] { b.qr(deficient) }.getMessage
+    }
+    assert(why.distinct == Seq("requirement failed: column 2 is linearly dependent (rank-deficient input)"))
+  }
+
   test("plain path still used for small matrices") {
     val a = rnd(100, 5, 11)
     val (q, r) = BreezeBackend.qr(a)
