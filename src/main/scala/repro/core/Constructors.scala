@@ -309,7 +309,12 @@ object Constructors {
     */
   final class Ranked(df: DataFrame, order: Seq[String]) {
     val (u, app) = resolveSchemas(df, order)
-    private val sortedDf = df.select((u ++ app).map(col): _*).sort(u.map(col): _*)
+    // An input that already reads U, then the application part, is sorted as
+    // it is: Spark keeps a select that changes nothing, and over a
+    // LocalRelation ConvertToLocalRelation evaluates it at a cost quadratic in
+    // the width.
+    private val sortedDf = (if (df.columns.toSeq == u ++ app) df else df.select((u ++ app).map(col): _*))
+      .sort(u.map(col): _*)
     private lazy val sorted = InternalDF.toInternalRdd(sortedDf)
     private lazy val offsets: Array[Long] = {
       val keys = u.map(sortedDf.schema(_))

@@ -10,9 +10,10 @@ import repro.matrix.{BreezeBackend, ColMatrix, Kernels, MatrixBackend}
   * are always checked to be keys, and inputs are always sorted. The input,
   * not the configuration, picks the element-wise route ([[Rma.eval]]).
   *
-  * @param backend physical kernel backend for the base results of the 16
-  *                ops that are not element-wise; add, sub and emu always
-  *                run on [[Kernels]], as RMA+ keeps them on BATs.
+  * @param backend physical kernel backend for the base results of the 15
+  *                ops that are neither element-wise nor `tra`; add, sub and
+  *                emu always run on [[Kernels]], as RMA+ keeps them on BATs,
+  *                and `tra` is a copy on either backend.
   *                [[BreezeBackend]] is the RMA+MKL analog (copy + library
   *                call), [[Kernels]] the RMA+BAT analog (no-copy column
   *                kernels). Mirrors the paper's policy of choosing per query.
@@ -76,13 +77,16 @@ object Rma {
     * (column cast ∇U), so |U| must be 1.
     */
   val usv: UnaryOp = unary("usv", R1, R1)((b, m) => Kernels.completeToSquare(b.svd(m)._1))
-  /** Diagonal matrix of singular values, descending (shape (c1,c1)). */
-  val dsv: UnaryOp = unary("dsv", C1, C1)((b, m) => ColMatrix.diag(b.svd(m)._2))
-  /** Right singular vectors V. Shape (c1,c1) like dsv, not the paper's
-    * Table 1 entry: V is j1 x j1, and the paper's Figure 14 measurements
-    * confirm the small result shape (DESIGN.md §3).
+  /** Diagonal matrix of singular values, descending, padded with zeros to
+    * the number of application attributes (shape (c1,c1)).
     */
-  val vsv: UnaryOp = unary("vsv", C1, C1)(_.svd(_)._3)
+  val dsv: UnaryOp = unary("dsv", C1, C1)((b, m) => ColMatrix.diag(b.svd(m)._2.padTo(m.nCols, 0.0)))
+  /** Right singular vectors V, completed to a square orthonormal basis like
+    * usv's U. Shape (c1,c1) like dsv, not the paper's Table 1 entry: V is
+    * j1 x j1, and the paper's Figure 14 measurements confirm the small
+    * result shape (DESIGN.md §3).
+    */
+  val vsv: UnaryOp = unary("vsv", C1, C1)((b, m) => Kernels.completeToSquare(b.svd(m)._3))
   /** Transpose (shape (c1,r1)): rows are the application attributes (new
     * attribute C), columns are named by the sorted key values (∇U, |U|=1).
     */

@@ -7,44 +7,102 @@ package repro.matrix
   * two: a "no-copy" implementation over BATs and a delegation to MKL. Our
   * analogs are [[Kernels]] (from-scratch columnar kernels) and
   * [[BreezeBackend]] (copy to a contiguous dense matrix, call
-  * Breeze/netlib-LAPACK). Both produce identical canonical results, which is
-  * asserted by the backend-agreement test suite. Like RMA+, the algebra keeps
-  * the element-wise ops (add, sub, emu) on the columnar kernels, so a backend
-  * covers the other ops only; and as RMA+ hands MKL only library-class
-  * kernels, a backend implements nine, and `opd`, `rnk` and `sol` are defined
-  * here once over them.
+  * Breeze/netlib-LAPACK). Like RMA+, the algebra keeps the element-wise ops
+  * (add, sub, emu) on the columnar kernels, so a backend covers the other
+  * ops only; and as RMA+ hands MKL only library-class kernels, a backend
+  * writes eight bare kernels and nothing else.
   *
-  * A fault of the input reads the same on both backends and names no kernel;
-  * the evaluator prefixes the op name.
+  * This trait holds each kernel's contract, once for both backends: every
+  * public kernel is final, checks its input, calls the backend's bare kernel
+  * and puts the factors in [[Canon]]'s form, so the relation that comes back
+  * does not depend on the backend that ran (paper goal 2). `tra`, `opd`,
+  * `rnk` and `sol` are defined here over the others. A factorisation
+  * rejects a NaN or infinite entry before its kernel runs; the other
+  * kernels keep IEEE arithmetic. A fault of the input reads the same on
+  * both backends and names no kernel; the evaluator prefixes the op name.
   */
 trait MatrixBackend {
-  import MatrixBackend.Eps
+  import MatrixBackend._
 
   /** Backend name for logs and bench tables. */
   def name: String
 
-  def mmu(a: ColMatrix, b: ColMatrix): ColMatrix
-  def tra(a: ColMatrix): ColMatrix
+  /** The bare kernels. Each may assume its input passed the checks of the
+    * final member that calls it, and returns its factors in any sign and
+    * order; `bareQr` returns the raw thin factors of an n x k input with
+    * n >= k, `bareSvd` the thin `(U, sigma, V)` of any input.
+    */
+  protected def bareMmu(a: ColMatrix, b: ColMatrix): ColMatrix
+  protected def bareCpd(a: ColMatrix, b: ColMatrix): ColMatrix
+  protected def bareInv(a: ColMatrix): ColMatrix
+  protected def bareDet(a: ColMatrix): Double
+  protected def bareChf(a: ColMatrix): ColMatrix
+  protected def bareQr(a: ColMatrix): (ColMatrix, ColMatrix)
+  protected def bareSvd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix)
+  protected def bareEig(a: ColMatrix): (Array[Double], ColMatrix)
+
+  /** Matrix multiplication: (n x k) * (k x m) -> n x m. */
+  final def mmu(a: ColMatrix, b: ColMatrix): ColMatrix = {
+    require(a.nCols == b.nRows, s"inner dimensions differ (${a.nCols} vs ${b.nRows})")
+    bareMmu(a, b)
+  }
+
+  /** Transpose; a copy on either backend. */
+  final def tra(a: ColMatrix): ColMatrix = a.transpose
 
   /** Cross product `a^T * b`. */
-  def cpd(a: ColMatrix, b: ColMatrix): ColMatrix
+  final def cpd(a: ColMatrix, b: ColMatrix): ColMatrix = {
+    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
+    bareCpd(a, b)
+  }
 
-  def inv(a: ColMatrix): ColMatrix
-  def det(a: ColMatrix): Double
+  final def inv(a: ColMatrix): ColMatrix = bareInv(finite(square(a)))
+
+  final def det(a: ColMatrix): Double = bareDet(square(a))
 
   /** Upper-triangular R with `a = R^T R` (R's chol convention). */
-  def chf(a: ColMatrix): ColMatrix
+  final def chf(a: ColMatrix): ColMatrix = {
+    require(isSymmetric(finite(square(a))), "matrix must be symmetric")
+    bareChf(a)
+  }
 
-  /** Thin QR `(Q, R)`, canonicalised with diag(R) >= 0; rejects
-    * rank-deficient input by [[MatrixBackend.requireIndependent]].
+  /** Thin QR `(Q, R)` with diag(R) >= 0. Rejects rank-deficient input: column
+    * `j` of the n x k input is independent of the columns before it when
+    * `|R_jj| > max(n,k) * eps * 1e3 * (1 + max_i |a_ij|)`, checked on the
+    * backend's final R in column order.
     */
-  def qr(a: ColMatrix): (ColMatrix, ColMatrix)
+  final def qr(a: ColMatrix): (ColMatrix, ColMatrix) = {
+    require(a.nRows >= a.nCols, s"need rows >= cols, got ${a.nRows}x${a.nCols}")
+    val (q, r) = bareQr(finite(a))
+    for (j <- 0 until a.nCols)
+      require(math.abs(r(j, j)) > math.max(a.nRows, a.nCols) * Eps * 1e3 * (1.0 + colAbsMax(a, j)),
+        s"column $j is linearly dependent (rank-deficient input)")
+    Canon.canonQr(q, r)
+  }
 
-  /** Thin SVD `(U, sigma, V)`, sigma descending, canonical signs. */
-  def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix)
+  /** Thin SVD `(U, sigma, V)`, sigma descending, canonical signs taken from
+    * the input's own U.
+    */
+  final def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = {
+    val (u, s, v) = bareSvd(finite(a))
+    Canon.canonSvd(u, s, v)
+  }
 
   /** Symmetric eigen `(values desc, vectors)`, canonical signs. */
-  def eig(a: ColMatrix): (Array[Double], ColMatrix)
+  final def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
+    require(isSymmetric(finite(square(a))), "only symmetric matrices are supported (see DESIGN.md)")
+    val (w, v) = bareEig(a)
+    Canon.canonEig(w, v)
+  }
+
+  /** Whether `a` is square and equals its transpose within `tol` relative
+    * to its largest entry.
+    */
+  final def isSymmetric(a: ColMatrix, tol: Double = 1e-9): Boolean = {
+    val scale = 1.0 + (0 until a.nCols).map(colAbsMax(a, _)).foldLeft(0.0)(math.max)
+    a.nRows == a.nCols &&
+      (0 until a.nCols).forall(j => (0 until j).forall(i => math.abs(a(i, j) - a(j, i)) <= tol * scale))
+  }
 
   /** Outer product `a * b^T`. */
   final def opd(a: ColMatrix, b: ColMatrix): ColMatrix = {
@@ -96,11 +154,19 @@ object MatrixBackend {
     m
   }
 
-  /** The QR rank rule of both backends: column `j` of the n x k input `a`
-    * is independent of the columns before it when `|R_jj|` exceeds
-    * `max(n,k) * eps * 1e3 * (1 + max_i |a_ij|)`.
-    */
-  private[matrix] def requireIndependent(a: ColMatrix, j: Int, rjj: Double): Unit =
-    require(math.abs(rjj) > math.max(a.nRows, a.nCols) * Eps * 1e3 * (1.0 + colAbsMax(a, j)),
-      s"column $j is linearly dependent (rank-deficient input)")
+  private def square(a: ColMatrix): ColMatrix = {
+    require(a.nCols == a.nRows, s"matrix must be square, got ${a.nRows}x${a.nCols}")
+    a
+  }
+
+  /** `a`, unless an entry is NaN or infinite. */
+  private def finite(a: ColMatrix): ColMatrix = {
+    for (j <- 0 until a.nCols) {
+      val c = a.cols(j)
+      var i = 0
+      while (i < c.length && java.lang.Double.isFinite(c(i))) i += 1
+      require(i == c.length, s"non-finite value in column $j")
+    }
+    a
+  }
 }

@@ -18,9 +18,10 @@ import breeze.linalg.{DenseMatrix, MatrixSingularException, NotConvergedExceptio
   * [[BreezeBackend.countingCopies]] reports their time, so the
   * transformation-share experiment (paper Figure 14) can report the same
   * breakdown the paper does; `add` and `emu` are there for it alone, since
-  * the algebra keeps the element-wise ops on [[Kernels]]. LAPACK's faults
-  * are raised in the columnar kernels' words. The backend itself keeps no
-  * state.
+  * the algebra keeps the element-wise ops on [[Kernels]]. It writes the bare
+  * kernels only ([[MatrixBackend]] checks and canonicalises), and raises
+  * LAPACK's faults in the columnar kernels' words. The backend itself keeps
+  * no state.
   */
 object BreezeBackend extends MatrixBackend {
   val name = "breeze"
@@ -78,22 +79,11 @@ object BreezeBackend extends MatrixBackend {
   def add(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) + toDense(b))
   def emu(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) *:* toDense(b))
 
-  def mmu(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nRows, s"inner dimensions differ (${a.nCols} vs ${b.nRows})")
-    fromDense(toDense(a) * toDense(b))
-  }
+  protected def bareMmu(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a) * toDense(b))
 
-  def tra(a: ColMatrix): ColMatrix = fromDense(toDense(a).t)
+  protected def bareCpd(a: ColMatrix, b: ColMatrix): ColMatrix = fromDense(toDense(a).t * toDense(b))
 
-  def cpd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
-    fromDense(toDense(a).t * toDense(b))
-  }
-
-  def inv(a: ColMatrix): ColMatrix = {
-    require(a.nCols == a.nRows, s"matrix must be square, got ${a.nRows}x${a.nCols}")
-    fromDense(worded(breeze.linalg.inv(toDense(a))))
-  }
+  protected def bareInv(a: ColMatrix): ColMatrix = fromDense(worded(breeze.linalg.inv(toDense(a))))
 
   /** Runs a LAPACK call of inv or chf, raising its fault in the
     * columnar kernels' words.
@@ -106,29 +96,21 @@ object BreezeBackend extends MatrixBackend {
         throw new IllegalArgumentException("requirement failed: matrix is not positive definite", e)
     }
 
-  def det(a: ColMatrix): Double = {
-    require(a.nCols == a.nRows, s"matrix must be square, got ${a.nRows}x${a.nCols}")
-    breeze.linalg.det(toDense(a))
-  }
+  protected def bareDet(a: ColMatrix): Double = breeze.linalg.det(toDense(a))
 
-  def chf(a: ColMatrix): ColMatrix = {
-    require(Kernels.isSymmetric(a), "matrix must be symmetric")
+  protected def bareChf(a: ColMatrix): ColMatrix = {
     // Breeze returns lower L with a = L * L^T; our convention is upper R
     // with a = R^T * R (R's chol), so return L^T.
     fromDense(worded(cholesky(toDense(a))).t)
   }
 
-  def qr(a: ColMatrix): (ColMatrix, ColMatrix) = {
-    require(a.nRows >= a.nCols, s"need rows >= cols, got ${a.nRows}x${a.nCols}")
+  protected def bareQr(a: ColMatrix): (ColMatrix, ColMatrix) = {
     val blocks = tsqrBlocks(a)
-    val (q, r) =
-      if (blocks > 1) tsqr(a, blocks)
-      else {
-        val f = bqr.reduced(toDense(a))
-        (fromDense(f.q), fromDense(f.r))
-      }
-    for (j <- 0 until a.nCols) MatrixBackend.requireIndependent(a, j, r(j, j))
-    Canon.canonQr(q, r)
+    if (blocks > 1) tsqr(a, blocks)
+    else {
+      val f = bqr.reduced(toDense(a))
+      (fromDense(f.q), fromDense(f.r))
+    }
   }
 
   private val Threads = math.max(1, Runtime.getRuntime.availableProcessors)
@@ -178,14 +160,13 @@ object BreezeBackend extends MatrixBackend {
     } finally pool.shutdown()
   }
 
-  def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = {
+  protected def bareSvd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = {
     val f = bsvd.reduced(toDense(a))
-    Canon.canonSvd(fromDense(f.leftVectors), f.singularValues.toArray, fromDense(f.rightVectors.t))
+    (fromDense(f.leftVectors), f.singularValues.toArray, fromDense(f.rightVectors.t))
   }
 
-  def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
-    require(Kernels.isSymmetric(a), "only symmetric matrices are supported (see DESIGN.md)")
+  protected def bareEig(a: ColMatrix): (Array[Double], ColMatrix) = {
     val f = beigSym(toDense(a))
-    Canon.canonEig(f.eigenvalues.toArray, fromDense(f.eigenvectors))
+    (f.eigenvalues.toArray, fromDense(f.eigenvectors))
   }
 }

@@ -15,17 +15,17 @@ package repro.matrix
   *    columnar), [[eig]] is cyclic Jacobi for symmetric matrices.
   *
   * This object is the columnar backend, the RMA+BAT analog: no conversion
-  * to an external dense format is performed. All kernels are pure: inputs
-  * are never mutated.
+  * to an external dense format is performed. It writes the bare kernels
+  * only; [[MatrixBackend]] checks their input and canonicalises their
+  * factors. All kernels are pure: inputs are never mutated.
   */
 object Kernels extends MatrixBackend {
-  import MatrixBackend.{Eps, colAbsMax, requireIndependent}
+  import MatrixBackend.Eps
 
   val name = "columnar"
 
   // ---------------------------------------------------------------------
-  // Element-wise and multiplicative ops (shape checks live in the callers
-  // for relation-level messages; these require well-formed shapes).
+  // Element-wise and multiplicative ops.
   // ---------------------------------------------------------------------
 
   private def zipCols(a: ColMatrix, b: ColMatrix, f: (Double, Double) => Double): ColMatrix = {
@@ -56,8 +56,7 @@ object Kernels extends MatrixBackend {
   /** Matrix multiplication (MMU): (n x k) * (k x m) -> n x m.
     * Column j of the result is a sum of AXPY column updates — pure column ops.
     */
-  def mmu(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nCols == b.nRows, s"inner dimensions differ (${a.nCols} vs ${b.nRows})")
+  protected def bareMmu(a: ColMatrix, b: ColMatrix): ColMatrix = {
     val out = Array.ofDim[Array[Double]](b.nCols)
     var j = 0
     while (j < b.nCols) {
@@ -78,12 +77,8 @@ object Kernels extends MatrixBackend {
     new ColMatrix(out, a.nRows)
   }
 
-  /** Transpose (TRA). */
-  def tra(a: ColMatrix): ColMatrix = a.transpose
-
   /** Cross product (CPD): aT * b, computed as pairwise column dot products. */
-  def cpd(a: ColMatrix, b: ColMatrix): ColMatrix = {
-    require(a.nRows == b.nRows, s"row counts differ (${a.nRows} vs ${b.nRows})")
+  protected def bareCpd(a: ColMatrix, b: ColMatrix): ColMatrix = {
     val out = Array.ofDim[Array[Double]](b.nCols)
     var j = 0
     while (j < b.nCols) {
@@ -118,9 +113,8 @@ object Kernels extends MatrixBackend {
     * right-multiplication) is added for robustness; the paper's algorithm
     * assumes nonzero pivots.
     */
-  def inv(a: ColMatrix): ColMatrix = {
+  protected def bareInv(a: ColMatrix): ColMatrix = {
     val n = a.nRows
-    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
     val b = a.copy()
     val br = ColMatrix.identity(n)
     var i = 0
@@ -173,12 +167,10 @@ object Kernels extends MatrixBackend {
   // ---------------------------------------------------------------------
 
   /** Thin QR decomposition via modified Gram-Schmidt: `a = Q * R` with
-    * Q: n x k orthonormal columns and R: k x k upper triangular. Requires
-    * n >= k and full column rank. Canonicalised so that diag(R) >= 0.
+    * Q: n x k orthonormal columns and R: k x k upper triangular.
     */
-  def qr(a: ColMatrix): (ColMatrix, ColMatrix) = {
-    val n = a.nRows; val k = a.nCols
-    require(n >= k, s"need rows >= cols, got ${n}x$k")
+  protected def bareQr(a: ColMatrix): (ColMatrix, ColMatrix) = {
+    val k = a.nCols
     val q = a.copy()
     val r = ColMatrix.zeros(k, k)
     var j = 0
@@ -192,12 +184,11 @@ object Kernels extends MatrixBackend {
         i += 1
       }
       val nrm = norm2(qj)
-      requireIndependent(a, j, nrm)
       r.cols(j)(j) = nrm
       scaleInPlace(qj, 1.0 / nrm)
       j += 1
     }
-    Canon.canonQr(q, r)
+    (q, r)
   }
 
   // ---------------------------------------------------------------------
@@ -207,10 +198,8 @@ object Kernels extends MatrixBackend {
   /** Cholesky factorisation of a symmetric positive-definite matrix.
     * Returns upper-triangular `R` such that `a = R^T * R`.
     */
-  def chf(a: ColMatrix): ColMatrix = {
+  protected def bareChf(a: ColMatrix): ColMatrix = {
     val n = a.nRows
-    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
-    require(isSymmetric(a), "matrix must be symmetric")
     val r = ColMatrix.zeros(n, n)
     var j = 0
     while (j < n) {
@@ -232,29 +221,13 @@ object Kernels extends MatrixBackend {
     r
   }
 
-  def isSymmetric(a: ColMatrix, tol: Double = 1e-9): Boolean = {
-    if (a.nRows != a.nCols) return false
-    val scale = 1.0 + (0 until a.nCols).map(colAbsMax(a, _)).foldLeft(0.0)(math.max)
-    var j = 0
-    while (j < a.nCols) {
-      var i = 0
-      while (i < j) {
-        if (math.abs(a(i, j) - a(j, i)) > tol * scale) return false
-        i += 1
-      }
-      j += 1
-    }
-    true
-  }
-
   // ---------------------------------------------------------------------
   // Determinant — Gaussian elimination with partial pivoting.
   // ---------------------------------------------------------------------
 
   /** Determinant via LU (Gaussian elimination, partial pivoting). */
-  def det(a: ColMatrix): Double = {
+  protected def bareDet(a: ColMatrix): Double = {
     val n = a.nRows
-    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
     val m = a.transpose.cols // row-major: m(i) is row i
     var d = 1.0
     var i = 0
@@ -288,26 +261,23 @@ object Kernels extends MatrixBackend {
   // ---------------------------------------------------------------------
 
   /** Eigen decomposition of a symmetric matrix via cyclic Jacobi rotations.
-    * Returns (eigenvalues, eigenvector matrix) in canonical form (descending
-    * eigenvalues; each vector's max-|.| component positive). Each rotation
-    * touches two rows and two columns — a column-pair operation.
+    * Each rotation is a column-pair operation on the working matrix and on
+    * V, plus one strided pass over its rows p and q.
     */
-  def eig(a: ColMatrix): (Array[Double], ColMatrix) = {
+  protected def bareEig(a: ColMatrix): (Array[Double], ColMatrix) = {
     val n = a.nRows
-    require(a.nCols == n, s"matrix must be square, got ${n}x${a.nCols}")
-    require(isSymmetric(a), "only symmetric matrices are supported (see DESIGN.md)")
-    val m = a.transpose.cols // row-major: m(i) is row i
-    val v = ColMatrix.identity(n).transpose.cols
+    val m = a.copy().cols // m(j)(i) is a(i, j)
+    val v = ColMatrix.identity(n)
     val maxSweeps = 64
     var sweep = 0
-    var off = offDiagNorm(m)
+    var off = frobenius(m, offDiag = true)
     val scale = frobenius(m) + Eps
     while (off > 1e-14 * scale && sweep < maxSweeps) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1
         while (q < n) {
-          val apq = m(p)(q)
+          val apq = m(q)(p)
           if (math.abs(apq) > 1e-300) {
             val app = m(p)(p); val aqq = m(q)(q)
             val theta = (aqq - app) / (2.0 * apq)
@@ -316,56 +286,38 @@ object Kernels extends MatrixBackend {
               else 1.0 / (theta - math.sqrt(1.0 + theta * theta))
             val c = 1.0 / math.sqrt(1.0 + t * t)
             val s = t * c
+            rotateCols(m(p), m(q), c, s)
             var i = 0
             while (i < n) {
-              val mip = m(i)(p); val miq = m(i)(q)
-              m(i)(p) = c * mip - s * miq
-              m(i)(q) = s * mip + c * miq
+              val mi = m(i); val mpi = mi(p); val mqi = mi(q)
+              mi(p) = c * mpi - s * mqi
+              mi(q) = s * mpi + c * mqi
               i += 1
             }
-            i = 0
-            while (i < n) {
-              val mpi = m(p)(i); val mqi = m(q)(i)
-              m(p)(i) = c * mpi - s * mqi
-              m(q)(i) = s * mpi + c * mqi
-              val vip = v(i)(p); val viq = v(i)(q)
-              v(i)(p) = c * vip - s * viq
-              v(i)(q) = s * vip + c * viq
-              i += 1
-            }
+            rotateCols(v.cols(p), v.cols(q), c, s)
           }
           q += 1
         }
         p += 1
       }
-      off = offDiagNorm(m)
+      off = frobenius(m, offDiag = true)
       sweep += 1
     }
-    val values = Array.tabulate(n)(i => m(i)(i))
-    val vectors = ColMatrix.fromRows(v.toIndexedSeq.map(_.toIndexedSeq))
-    Canon.canonEig(values, vectors)
+    (Array.tabulate(n)(i => m(i)(i)), v)
   }
 
-  private def offDiagNorm(m: Array[Array[Double]]): Double = {
+  /** Frobenius norm of the square column-major `m`, summed row by row; of
+    * its off-diagonal entries only when `offDiag`.
+    */
+  private def frobenius(m: Array[Array[Double]], offDiag: Boolean = false): Double = {
     var s = 0.0
     var i = 0
     while (i < m.length) {
       var j = 0
       while (j < m.length) {
-        if (i != j) s += m(i)(j) * m(i)(j)
+        if (!offDiag || i != j) s += m(j)(i) * m(j)(i)
         j += 1
       }
-      i += 1
-    }
-    math.sqrt(s)
-  }
-
-  private def frobenius(m: Array[Array[Double]]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < m.length) {
-      var j = 0
-      while (j < m(i).length) { s += m(i)(j) * m(i)(j); j += 1 }
       i += 1
     }
     math.sqrt(s)
@@ -376,16 +328,15 @@ object Kernels extends MatrixBackend {
   // ---------------------------------------------------------------------
 
   /** Thin SVD `a = U * diag(s) * V^T` via one-sided Jacobi.
-    * For n >= k returns (U: n x k, s: length k descending, V: k x k).
+    * For n >= k returns (U: n x k, s: length k, V: k x k).
     * For n < k the decomposition of the transpose is used and factors are
-    * swapped. Canonical sign convention via [[Canon.canonSvd]].
+    * swapped.
     */
-  def svd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = {
+  protected def bareSvd(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) =
     if (a.nRows < a.nCols) {
       val (u, s, v) = svdTall(a.transpose)
       (v, s, u)
     } else svdTall(a)
-  }
 
   private def svdTall(a: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = {
     val n = a.nRows; val k = a.nCols
@@ -431,7 +382,7 @@ object Kernels extends MatrixBackend {
     // Zero-sigma U columns are replaced by an orthonormal completion so U
     // keeps orthonormal columns even for rank-deficient input.
     fillZeroColumns(u)
-    Canon.canonSvd(u, sigma, v)
+    (u, sigma, v)
   }
 
   private def rotateCols(x: Array[Double], y: Array[Double], c: Double, s: Double): Unit = {

@@ -1,6 +1,11 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.SpanSugar._
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.repro.SparkJobs
@@ -11,7 +16,7 @@ import repro.matrix.{BreezeBackend, ColMatrix, Kernels, MatrixBackend}
 /** Validation behaviour: order schemas must be keys, application schemas
   * numeric, shapes compatible — with actionable error messages.
   */
-class ErrorsSpec extends RmaFixtures {
+class ErrorsSpec extends RmaFixtures with TimeLimits {
 
   test("order schema must exist in the relation") {
     val e = intercept[IllegalArgumentException] { Rma.inv(weather, Seq("nope")) }
@@ -191,6 +196,42 @@ class ErrorsSpec extends RmaFixtures {
     }
   }
 
+  /** `call`'s outcome, or a test failure after 30 s if `call` does not return. */
+  private def timeLimited[A](call: => A): A = {
+    implicit val signaler: Signaler = ThreadSignaler
+    val running = Future(call)(ExecutionContext.global)
+    failAfter(30.seconds)(Await.result(running, Duration.Inf))
+  }
+
+  test("a factorisation rejects a non-finite value in the same words on both backends") {
+    val rhs = makeDf(Seq("m" -> StringType, "x" -> DoubleType), Seq(Seq("s0", 1.0), Seq("s1", 2.0)))
+    def rel(a00: Double) = makeDf(Seq("k" -> StringType, "a0" -> DoubleType, "a1" -> DoubleType),
+      Seq(Seq("r0", a00, 1.0), Seq("r1", 1.0, 2.0)))
+    val nonFinite = Seq(rel(Double.NaN), rel(Double.PositiveInfinity))
+    val factorisations = Seq(Rma.inv, Rma.chf, Rma.qqr, Rma.rqr, Rma.usv, Rma.dsv, Rma.vsv, Rma.evc, Rma.evl, Rma.rnk)
+    def bits(df: DataFrame) = df.collect().map(_.toSeq.map {
+      case d: Double => java.lang.Double.doubleToLongBits(d)
+      case v         => v
+    }).toSeq
+    for (r <- nonFinite) withClue(s"${r.collect().mkString}: ") {
+      for (backend <- Seq(Kernels, BreezeBackend)) withClue(s"${backend.name}: ") {
+        val cfg = RmaConfig(backend = backend)
+        val calls = factorisations.map(op => op.name -> (() => op(r, Seq("k"), cfg))) :+
+          ("sol" -> (() => Rma.sol(r, Seq("k"), rhs, Seq("m"), cfg)))
+        for ((op, call) <- calls) withClue(s"$op: ") {
+          val e = intercept[IllegalArgumentException] { timeLimited(call()) }
+          assert(e.getMessage == s"requirement failed: $op: non-finite value in column 0")
+        }
+      }
+      // The other kernels keep IEEE arithmetic, alike on both backends.
+      for (op <- Seq(Rma.det, Rma.tra)) withClue(s"${op.name}: ") {
+        val Seq(columnar, breeze) = Seq(Kernels, BreezeBackend).map(b =>
+          timeLimited(bits(op(r, Seq("k"), RmaConfig(backend = b)))))
+        assert(columnar == breeze)
+      }
+    }
+  }
+
   test("element-wise ops never call the configured backend") {
     val backend = new CountingBackend
     val cfg = RmaConfig(backend = backend)
@@ -200,8 +241,8 @@ class ErrorsSpec extends RmaFixtures {
     assert(backend.calls.isEmpty, s"kernels ran: ${backend.calls}")
   }
 
-  /** The columnar kernels, counting calls per kernel; `opd`, `rnk` and
-    * `sol` count as the kernels they are defined over.
+  /** The columnar kernels, counting calls per bare kernel; `opd`, `rnk` and
+    * `sol` count as the kernels they are defined over, and `tra` as none.
     */
   private final class CountingBackend extends MatrixBackend {
     val calls: mutable.Map[String, Int] = mutable.Map.empty[String, Int].withDefaultValue(0)
@@ -209,14 +250,13 @@ class ErrorsSpec extends RmaFixtures {
     private val b = Kernels
 
     val name = "counting"
-    def mmu(x: ColMatrix, y: ColMatrix): ColMatrix = count("mmu")(b.mmu(x, y))
-    def tra(x: ColMatrix): ColMatrix = count("tra")(b.tra(x))
-    def cpd(x: ColMatrix, y: ColMatrix): ColMatrix = count("cpd")(b.cpd(x, y))
-    def inv(x: ColMatrix): ColMatrix = count("inv")(b.inv(x))
-    def det(x: ColMatrix): Double = count("det")(b.det(x))
-    def chf(x: ColMatrix): ColMatrix = count("chf")(b.chf(x))
-    def qr(x: ColMatrix): (ColMatrix, ColMatrix) = count("qr")(b.qr(x))
-    def svd(x: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = count("svd")(b.svd(x))
-    def eig(x: ColMatrix): (Array[Double], ColMatrix) = count("eig")(b.eig(x))
+    protected def bareMmu(x: ColMatrix, y: ColMatrix): ColMatrix = count("mmu")(b.mmu(x, y))
+    protected def bareCpd(x: ColMatrix, y: ColMatrix): ColMatrix = count("cpd")(b.cpd(x, y))
+    protected def bareInv(x: ColMatrix): ColMatrix = count("inv")(b.inv(x))
+    protected def bareDet(x: ColMatrix): Double = count("det")(b.det(x))
+    protected def bareChf(x: ColMatrix): ColMatrix = count("chf")(b.chf(x))
+    protected def bareQr(x: ColMatrix): (ColMatrix, ColMatrix) = count("qr")(b.qr(x))
+    protected def bareSvd(x: ColMatrix): (ColMatrix, Array[Double], ColMatrix) = count("svd")(b.svd(x))
+    protected def bareEig(x: ColMatrix): (Array[Double], ColMatrix) = count("eig")(b.eig(x))
   }
 }

@@ -1,8 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DoubleType, StringType}
 
-import repro.matrix.{ColMatrix, Kernels}
+import repro.matrix.{BreezeBackend, ColMatrix, Kernels}
 
 /** Unary relational matrix operations: schemas, values, and contextual
   * information per paper Table 2.
@@ -215,6 +216,32 @@ class RmaUnarySpec extends RmaFixtures {
     val uThin = new ColMatrix(uF.cols.take(2), 4)
     val rec = Kernels.mmu(Kernels.mmu(uThin, d), Kernels.tra(v))
     assertClose(rec, collectMatrix(weather, Seq("T")), 1e-8)
+  }
+
+  /** Two tuples and four application attributes. */
+  private lazy val wide = makeDf(("k" -> StringType) +: (0 until 4).map(j => s"a$j" -> DoubleType),
+    Seq(Seq("r1", 1.0, -3.0, 0.0, 2.0), Seq("r2", 4.0, 1.0, 2.0, -1.0)))
+
+  test("usv of a relation with fewer tuples than attributes is the same relation on both backends") {
+    val u = Seq(Kernels, BreezeBackend).map(b => Rma.usv(wide, Seq("k"), RmaConfig(backend = b)))
+    assert(u.map(_.columns.toSeq).distinct == Seq(Seq("k", "r1", "r2")))
+    assertDfClose(u(0), u(1).collect().map(_.toSeq).toSeq, 1e-9)
+  }
+
+  test("dsv and vsv of a relation with fewer tuples than attributes are square (shape (c1,c1))") {
+    val a = collectMatrix(wide, Seq("k"))
+    for (backend <- Seq(Kernels, BreezeBackend)) withClue(s"${backend.name}: ") {
+      val cfg = RmaConfig(backend = backend)
+      val d = collectMatrix(Rma.dsv(wide, Seq("k"), cfg), Seq("C"))
+      val v = collectMatrix(Rma.vsv(wide, Seq("k"), cfg), Seq("C"))
+      val u = collectMatrix(Rma.usv(wide, Seq("k"), cfg), Seq("k"))
+      assert((d.nRows, d.nCols, v.nRows, v.nCols) == ((4, 4, 4, 4)))
+      assertClose(d, ColMatrix.diag(backend.svd(a)._2 ++ Array(0.0, 0.0)), 1e-9)
+      assert(isOrthonormalCols(v, 1e-9))
+      // U times the first two rows of diag(sigma, 0, 0) times V^T is the input.
+      val dTop = new ColMatrix(d.cols.map(_.take(2)), 2)
+      assertClose(Kernels.mmu(Kernels.mmu(u, dTop), Kernels.tra(v)), a, 1e-9)
+    }
   }
 
   // ------------------------------------------------------------------ sorting

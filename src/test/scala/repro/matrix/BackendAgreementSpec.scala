@@ -50,12 +50,15 @@ class BackendAgreementSpec extends AnyFunSuite {
     }
 
     test(s"svd agrees after canonicalisation (seed=$seed)") {
-      val a = rnd(7, 3, seed, scale = 2.0)
-      val (u1, s1, v1) = Kernels.svd(a)
-      val (u2, s2, v2) = BreezeBackend.svd(a)
-      assertCloseArr(s1, s2, 1e-8)
-      assertClose(u1, u2, 1e-7, "U")
-      assertClose(v1, v2, 1e-7, "V")
+      // Tall, and wide: the canonical signs come from the input's own U.
+      for ((n, k) <- Seq((7, 3), (2, 4), (3, 5))) withClue(s"${n}x$k: ") {
+        val a = rnd(n, k, seed, scale = 2.0)
+        val (u1, s1, v1) = Kernels.svd(a)
+        val (u2, s2, v2) = BreezeBackend.svd(a)
+        assertCloseArr(s1, s2, 1e-8)
+        assertClose(u1, u2, 1e-7, "U")
+        assertClose(v1, v2, 1e-7, "V")
+      }
     }
 
     test(s"eig agrees after canonicalisation (seed=$seed)") {
